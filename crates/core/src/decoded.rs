@@ -139,6 +139,25 @@ pub(crate) enum DecodedInst {
 }
 
 impl DecodedInst {
+    /// Whether this is one of the nine data instructions — the ones with a
+    /// per-lane meaning ([`crate::semantics::lane`]); the rest are control
+    /// transfer and the variants' flow management.
+    #[inline]
+    pub fn is_data(self) -> bool {
+        matches!(
+            self,
+            DecodedInst::Alu { .. }
+                | DecodedInst::Ldi { .. }
+                | DecodedInst::Mfs { .. }
+                | DecodedInst::Sel { .. }
+                | DecodedInst::Ld { .. }
+                | DecodedInst::St { .. }
+                | DecodedInst::StMasked { .. }
+                | DecodedInst::MultiOp { .. }
+                | DecodedInst::MultiPrefix { .. }
+        )
+    }
+
     /// Mnemonic family name, for diagnostics on paths that no longer hold
     /// the original [`Instr`] (the source instruction is still available
     /// cold via `Program::fetch` where the pc is known).

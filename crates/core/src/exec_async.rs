@@ -32,9 +32,8 @@
 //! taxonomy reason, as does a block shattering into unit flows on a
 //! nested `spawn`.
 
-use tcf_isa::instr::{MemSpace, Operand};
-use tcf_isa::reg::SpecialReg;
-use tcf_isa::word::{to_addr, Word};
+use tcf_isa::instr::{BrCond, Operand};
+use tcf_isa::reg::{Reg, SpecialReg};
 use tcf_machine::{IssueUnit, UnitSeq};
 use tcf_obs::FlowEvent;
 
@@ -42,7 +41,9 @@ use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{Flow, FlowStatus, Fragment};
 use crate::machine::TcfMachine;
-use crate::thick::{affine_alu, ThickValue};
+use crate::par_engine::{exec_thick_lanes, FragOut, ThickCtx};
+use crate::semantics::{flowwise, Control, DirectPort};
+use crate::thick::ThickValue;
 
 /// Pooled per-quantum buffers of [`TcfMachine::step_async`], kept on the
 /// machine so steady-state quanta allocate nothing — the same discipline
@@ -64,13 +65,20 @@ pub(crate) struct AsyncBufs {
 /// most one quantum wide, so these stay small).
 #[derive(Default)]
 pub(crate) struct AsyncScratch {
-    /// Per-lane results of a fallback slice, replayed via `write_lanes`.
-    vals: Vec<Word>,
     /// Contiguous same-outcome runs of a divergent branch.
     runs: Vec<(usize, bool)>,
     /// Flows split off during the instruction, scheduled into the pass
     /// rotation right after their block.
     pending: Vec<u32>,
+}
+
+/// Shrinks block `flow` on group `g` to its first `len` lanes, the rest
+/// having been carved off. Registers are left as they are: lanes past the
+/// thickness are never read.
+fn keep_front(flow: &mut Flow, g: usize, len: usize) {
+    flow.thickness = len;
+    flow.fragments.clear();
+    flow.fragments.push(Fragment::new(g, 0, len));
 }
 
 impl TcfMachine {
@@ -127,7 +135,7 @@ impl TcfMachine {
                         // old pc under a fresh (higher) id and is
                         // snapshotted next quantum — the same lanes the
                         // per-thread round-robin would have starved.
-                        self.split_async_block(id, budget, g)?;
+                        self.split_async_block(id, budget, g);
                     }
                     let lanes = self.exec_async_instr(
                         id,
@@ -146,34 +154,48 @@ impl TcfMachine {
         Ok(())
     }
 
-    /// Splits the running block `id` so its first `keep` lanes stay under
-    /// `id` and the rest continue as a fresh flow at the same pc. Costs
-    /// O(#register runs), not O(thickness).
-    fn split_async_block(&mut self, id: u32, keep: usize, g: usize) -> Result<(), TcfError> {
-        let tid = self.alloc_id();
-        let mut flow = self.flows.remove(&id).expect("flow exists");
-        let tail_len = flow.thickness - keep;
-        let mut tail = Flow::new(tid, tail_len, flow.pc, flow.regs.len());
-        tail.regs = flow.regs.slice_lanes(keep, tail_len);
-        tail.call_stack = flow.call_stack.clone();
-        tail.parent = flow.parent;
-        tail.tid_offset = flow.tid_offset + keep * flow.tid_stride;
-        tail.tid_stride = flow.tid_stride;
-        tail.fragments = vec![Fragment::new(g, 0, tail_len)];
-        flow.thickness = keep;
-        flow.fragments = vec![Fragment::new(g, 0, keep)];
-        self.flows.insert(id, flow);
-        self.flows.insert(tid, tail);
+    /// Carves lanes `[lo, lo + len)` of block `flow` into a sibling block
+    /// at `pc` on group `g`, announced as spawned by `announced_parent`.
+    /// Costs O(#register runs), not O(thickness). Returns the sibling's
+    /// id.
+    fn carve_block(
+        &mut self,
+        flow: &Flow,
+        g: usize,
+        lo: usize,
+        len: usize,
+        pc: usize,
+        announced_parent: Option<u32>,
+    ) -> u32 {
+        let sid = self.alloc_id();
+        // No registers of its own to build: it takes a slice of the block's.
+        let mut sib = Flow::new(sid, len, pc, 0);
+        sib.regs = flow.regs.slice_lanes(lo, len);
+        sib.call_stack = flow.call_stack.clone();
+        sib.parent = flow.parent;
+        sib.tid_offset = flow.tid_offset + lo * flow.tid_stride;
+        sib.tid_stride = flow.tid_stride;
+        sib.fragments = vec![Fragment::new(g, 0, len)];
+        self.flows.insert(sid, sib);
         self.obs.emit(
             self.steps,
             self.clock,
             FlowEvent::FlowSpawned {
-                flow: tid,
-                parent: Some(id),
-                thickness: tail_len,
+                flow: sid,
+                parent: announced_parent,
+                thickness: len,
             },
         );
-        Ok(())
+        sid
+    }
+
+    /// Splits the running block `id` so its first `keep` lanes stay under
+    /// `id` and the rest continue as a fresh flow at the same pc.
+    fn split_async_block(&mut self, id: u32, keep: usize, g: usize) {
+        let mut flow = self.flows.remove(&id).expect("flow exists");
+        self.carve_block(&flow, g, keep, flow.thickness - keep, flow.pc, Some(id));
+        keep_front(&mut flow, g, keep);
+        self.flows.insert(id, flow);
     }
 
     /// Executes exactly one instruction of flow `id` (all of its lanes) on
@@ -202,6 +224,12 @@ impl TcfMachine {
         Ok(lanes)
     }
 
+    /// One instruction of `flow` on group `g`. `spawn`/`sjoin`, the block
+    /// shatter and the divergent-branch split are this engine's own;
+    /// control transfer and the data instructions get their meaning from
+    /// [`crate::semantics`] — a unit flow through the scalar lane, a block
+    /// through the same thick ladder as the synchronous engine, both on
+    /// the direct port.
     fn async_instr_inner(
         &mut self,
         flow: &mut Flow,
@@ -209,350 +237,44 @@ impl TcfMachine {
         units: &mut [Vec<UnitSeq>],
         scratch: &mut AsyncScratch,
     ) -> Result<usize, TcfError> {
-        if flow.thickness > 1 {
+        let pc = flow.pc;
+        if flow.thickness > 1 && matches!(self.decoded.fetch(pc), Some(DecodedInst::Spawn { .. })) {
             // A block cannot execute `spawn` collectively (every lane
             // waits on its own children): shatter it into unit flows
             // first. Lane 0 spawns now; the rest re-join the rotation.
-            if let Some(DecodedInst::Spawn { .. }) = self.decoded.fetch(flow.pc) {
-                self.shatter_async_block(flow, g, scratch);
-                self.thick_decay.async_slice += 1;
+            for e in 1..flow.thickness {
+                let sid = self.carve_block(flow, g, e, 1, pc, flow.parent);
+                scratch.pending.push(sid);
             }
+            keep_front(flow, g, 1);
+            self.thick_decay.async_slice += 1;
         }
-        if flow.thickness == 1 {
-            self.async_unit_instr(flow, g, units).map(|()| 1)
-        } else {
-            self.async_block_instr(flow, g, units, scratch)
-        }
-    }
-
-    /// Breaks a block into unit flows at the current pc. The first lane
-    /// stays on `flow`; the rest are appended to the pass rotation.
-    fn shatter_async_block(&mut self, flow: &mut Flow, g: usize, scratch: &mut AsyncScratch) {
-        for e in 1..flow.thickness {
-            let sid = self.alloc_id();
-            let mut sib = Flow::new(sid, 1, flow.pc, flow.regs.len());
-            sib.regs = flow.regs.slice_lanes(e, 1);
-            sib.call_stack = flow.call_stack.clone();
-            sib.parent = flow.parent;
-            sib.tid_offset = flow.tid_offset + e * flow.tid_stride;
-            sib.fragments = vec![Fragment::new(g, 0, 1)];
-            self.flows.insert(sid, sib);
-            self.obs.emit(
-                self.steps,
-                self.clock,
-                FlowEvent::FlowSpawned {
-                    flow: sid,
-                    parent: flow.parent,
-                    thickness: 1,
-                },
-            );
-            scratch.pending.push(sid);
-        }
-        flow.thickness = 1;
-        flow.fragments = vec![Fragment::new(g, 0, 1)];
-    }
-
-    /// One instruction of a multi-lane spawn block: compressed
-    /// (affine/uniform) execution where the operands allow it, bounded
-    /// per-lane fallback otherwise — the window is never wider than the
-    /// scheduling quantum, so the fallback is O(T_p), not O(spawn width).
-    fn async_block_instr(
-        &mut self,
-        flow: &mut Flow,
-        g: usize,
-        units: &mut [Vec<UnitSeq>],
-        scratch: &mut AsyncScratch,
-    ) -> Result<usize, TcfError> {
-        let pc = flow.pc;
+        // One fetch serves a whole block — the shared-pc compression.
+        let instr = self.fetch(flow)?;
         let n = flow.thickness;
-        let instr = match self.decoded.fetch(pc) {
-            Some(i) => i,
-            None => return Err(self.flow_err(flow.id, TcfFault::PcOutOfRange { pc })),
-        };
-        // One fetch serves the whole block — the shared-pc compression.
-        self.stats.fetches += 1;
-        self.obs
-            .emit(self.steps, self.clock, FlowEvent::Fetch { flow: flow.id });
-        self.engine_counters.slices += 1;
+        if n > 1 {
+            self.engine_counters.slices += 1;
+        }
         let mut next_pc = pc + 1;
-        let mut pushed = false;
+        // What the instruction's lanes occupy in the pipeline, unless the
+        // data path already queued their units.
+        let mut unit = Some(if n > 1 {
+            UnitSeq::ComputeRun {
+                flow: flow.id,
+                thread0: 0,
+                count: n,
+            }
+        } else {
+            IssueUnit::compute(flow.id, 0).into()
+        });
 
         match instr {
-            DecodedInst::Alu { op, rd, ra, rb } => {
-                let a = flow.regs.value(ra).affine_over(0, n);
-                let b = match rb {
-                    Operand::Reg(r) => flow.regs.value(r).affine_over(0, n),
-                    Operand::Imm(w) => Some((w, 0)),
-                };
-                let folded = match (a, b) {
-                    (Some(a), Some(b)) => affine_alu(op, a, b, n),
-                    _ => None,
-                };
-                if let Some(runs) = folded {
-                    let mut off = 0usize;
-                    for s in runs.runs() {
-                        flow.regs
-                            .write_affine(rd, off, s.len as usize, s.base, s.stride, n);
-                        off += s.len as usize;
-                    }
-                    self.engine_counters.compressed_slices += 1;
-                } else {
-                    scratch.vals.clear();
-                    for e in 0..n {
-                        let av = flow.regs.read(ra, e);
-                        let bv = match rb {
-                            Operand::Reg(r) => flow.regs.read(r, e),
-                            Operand::Imm(w) => w,
-                        };
-                        scratch.vals.push(op.eval(av, bv));
-                    }
-                    self.block_write_lanes(flow, rd, scratch);
-                }
+            DecodedInst::Spawn { count, target } => {
+                self.async_spawn(flow, count, target)?;
+                unit = Some(IssueUnit::overhead(flow.id).into());
             }
-            DecodedInst::Ldi { rd, imm } => {
-                flow.regs.write_uniform(rd, imm);
-                self.engine_counters.compressed_slices += 1;
-            }
-            DecodedInst::Mfs { rd, sr } => {
-                let v = match sr {
-                    SpecialReg::Tid => {
-                        ThickValue::affine(flow.tid_offset as Word, flow.tid_stride as Word)
-                    }
-                    SpecialReg::Gid => ThickValue::affine(flow.rank_base as Word, 1),
-                    // Every spawned XMT thread is unit-thick, however wide
-                    // the block carrying it.
-                    SpecialReg::Thickness => ThickValue::Uniform(1),
-                    other => ThickValue::Uniform(crate::machine::special_value(
-                        flow,
-                        0,
-                        other,
-                        &self.config,
-                    )),
-                };
-                flow.regs.write_value(rd, v);
-                self.engine_counters.compressed_slices += 1;
-            }
-            DecodedInst::Sel { rd, cond, rt, rf } => match flow.regs.value(cond).uniform_over(n) {
-                Some(c) => {
-                    let v = if c != 0 {
-                        flow.regs.value(rt).clone()
-                    } else {
-                        match rf {
-                            Operand::Reg(r) => flow.regs.value(r).clone(),
-                            Operand::Imm(w) => ThickValue::Uniform(w),
-                        }
-                    };
-                    flow.regs.write_value(rd, v);
-                    self.engine_counters.compressed_slices += 1;
-                }
-                None => {
-                    scratch.vals.clear();
-                    for e in 0..n {
-                        let v = if flow.regs.read(cond, e) != 0 {
-                            flow.regs.read(rt, e)
-                        } else {
-                            match rf {
-                                Operand::Reg(r) => flow.regs.read(r, e),
-                                Operand::Imm(w) => w,
-                            }
-                        };
-                        scratch.vals.push(v);
-                    }
-                    self.block_write_lanes(flow, rd, scratch);
-                }
-            },
-            DecodedInst::Ld {
-                rd,
-                base,
-                off,
-                space,
-            } => {
-                scratch.vals.clear();
-                for e in 0..n {
-                    let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                    let v = match space {
-                        MemSpace::Shared => {
-                            units[g].push(
-                                IssueUnit::shared_mem(flow.id, e, self.shared.module_of(addr))
-                                    .into(),
-                            );
-                            self.shared
-                                .peek(addr)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?
-                        }
-                        MemSpace::Local => {
-                            units[g].push(IssueUnit::local_mem(flow.id, e).into());
-                            self.locals[g]
-                                .read(addr)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?
-                        }
-                    };
-                    scratch.vals.push(v);
-                }
-                self.block_write_lanes(flow, rd, scratch);
-                pushed = true;
-            }
-            DecodedInst::St {
-                rs,
-                base,
-                off,
-                space,
-            }
-            | DecodedInst::StMasked {
-                rs,
-                base,
-                off,
-                space,
-                ..
-            } => {
-                for e in 0..n {
-                    if let DecodedInst::StMasked { cond, .. } = instr {
-                        if flow.regs.read(cond, e) == 0 {
-                            units[g].push(IssueUnit::compute(flow.id, e).into());
-                            continue;
-                        }
-                    }
-                    let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                    let v = flow.regs.read(rs, e);
-                    match space {
-                        MemSpace::Shared => {
-                            units[g].push(
-                                IssueUnit::shared_mem(flow.id, e, self.shared.module_of(addr))
-                                    .into(),
-                            );
-                            self.shared
-                                .poke(addr, v)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        }
-                        MemSpace::Local => {
-                            units[g].push(IssueUnit::local_mem(flow.id, e).into());
-                            self.locals[g]
-                                .write(addr, v)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        }
-                    }
-                }
-                self.engine_counters.per_lane_slices += 1;
-                pushed = true;
-            }
-            DecodedInst::MultiOp {
-                kind,
-                base,
-                off,
-                rs,
-            }
-            | DecodedInst::MultiPrefix {
-                kind,
-                base,
-                off,
-                rs,
-                ..
-            } => {
-                // XMT `ps`: atomic fetch-and-op, lane by lane in rank
-                // order.
-                scratch.vals.clear();
-                for e in 0..n {
-                    let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                    let v = flow.regs.read(rs, e);
-                    units[g].push(
-                        IssueUnit::shared_mem(flow.id, e, self.shared.module_of(addr)).into(),
-                    );
-                    let old = self
-                        .shared
-                        .peek(addr)
-                        .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                    self.shared
-                        .poke(addr, kind.combine(old, v))
-                        .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                    scratch.vals.push(old);
-                }
-                if let DecodedInst::MultiPrefix { rd, .. } = instr {
-                    self.block_write_lanes(flow, rd, scratch);
-                } else {
-                    self.engine_counters.per_lane_slices += 1;
-                }
-                pushed = true;
-            }
-            DecodedInst::Jmp { target } => next_pc = self.abs(flow.id, target)?,
-            DecodedInst::Br { cond, rs, target } => {
-                let taken_pc = self.abs(flow.id, target)?;
-                match flow.regs.value(rs).uniform_over(n) {
-                    Some(v) => {
-                        if cond.holds(v) {
-                            next_pc = taken_pc;
-                        }
-                        self.engine_counters.compressed_slices += 1;
-                    }
-                    None => {
-                        // Divergent branch: split the block into
-                        // contiguous same-outcome runs. Compressed
-                        // condition values yield their runs without
-                        // materializing; explicit lanes force the scan.
-                        if flow.regs.value(rs).run_count() > 0 {
-                            self.engine_counters.mask_hits += 1;
-                        } else {
-                            self.engine_counters.mask_misses += 1;
-                        }
-                        scratch.runs.clear();
-                        let mut e = 0usize;
-                        while e < n {
-                            let t0 = cond.holds(flow.regs.read(rs, e));
-                            let mut j = e + 1;
-                            while j < n && cond.holds(flow.regs.read(rs, j)) == t0 {
-                                j += 1;
-                            }
-                            scratch.runs.push((j - e, t0));
-                            e = j;
-                        }
-                        let (front_len, front_taken) = scratch.runs[0];
-                        let mut off = front_len;
-                        for k in 1..scratch.runs.len() {
-                            let (len, taken) = scratch.runs[k];
-                            let sid = self.alloc_id();
-                            let mut sib = Flow::new(
-                                sid,
-                                len,
-                                if taken { taken_pc } else { pc + 1 },
-                                flow.regs.len(),
-                            );
-                            sib.regs = flow.regs.slice_lanes(off, len);
-                            sib.call_stack = flow.call_stack.clone();
-                            sib.parent = flow.parent;
-                            sib.tid_offset = flow.tid_offset + off * flow.tid_stride;
-                            sib.tid_stride = flow.tid_stride;
-                            sib.fragments = vec![Fragment::new(g, 0, len)];
-                            self.flows.insert(sid, sib);
-                            self.obs.emit(
-                                self.steps,
-                                self.clock,
-                                FlowEvent::FlowSpawned {
-                                    flow: sid,
-                                    parent: flow.parent,
-                                    thickness: len,
-                                },
-                            );
-                            scratch.pending.push(sid);
-                            off += len;
-                        }
-                        flow.thickness = front_len;
-                        flow.fragments = vec![Fragment::new(g, 0, front_len)];
-                        if front_taken {
-                            next_pc = taken_pc;
-                        }
-                    }
-                }
-            }
-            DecodedInst::Call { target } => {
-                let dst = self.abs(flow.id, target)?;
-                flow.call_stack.push(pc + 1);
-                next_pc = dst;
-            }
-            DecodedInst::Ret => match flow.call_stack.pop() {
-                Some(ra) => next_pc = ra,
-                None => return Err(self.flow_err(flow.id, TcfFault::EmptyCallStack)),
-            },
             DecodedInst::SJoin => {
-                // The whole block joins at once: one bulk notification
+                // A whole block joins at once: one bulk notification
                 // covers all `n` threads.
                 let parent = flow
                     .parent
@@ -573,331 +295,214 @@ impl TcfMachine {
                 );
                 self.notify_join_many(parent, n)?;
             }
-            DecodedInst::Sync | DecodedInst::Nop => {}
-            DecodedInst::Halt => {
-                flow.status = FlowStatus::Halted;
-                self.obs.emit(
-                    self.steps,
-                    self.clock,
-                    FlowEvent::FlowHalted { flow: flow.id },
-                );
+            DecodedInst::Br { cond, rs, target }
+                if flow.regs.value(rs).uniform_over(n).is_none() =>
+            {
+                next_pc = self.split_divergent(flow, g, cond, rs, target, scratch)?;
             }
-            DecodedInst::Spawn { .. } => {
-                unreachable!("blocks shatter before executing spawn")
+            _ if instr.is_data() && n == 1 => {
+                let mut port = DirectPort {
+                    shared: &mut self.shared,
+                    local: &mut self.locals[g],
+                };
+                let u = flowwise(instr, flow, &self.config, &mut port)
+                    .map_err(|f| self.flow_err(flow.id, f))?;
+                unit = Some(u.into());
             }
-            DecodedInst::SetThick { .. }
-            | DecodedInst::Numa { .. }
-            | DecodedInst::EndNuma
-            | DecodedInst::Split { .. }
-            | DecodedInst::Join => {
-                // Cold fault path: render the source instruction.
-                return Err(self.flow_err(
-                    flow.id,
-                    TcfFault::UnsupportedByVariant {
-                        instr: self
-                            .program
-                            .fetch(pc)
-                            .map(|i| i.to_string())
-                            .unwrap_or_default(),
-                        variant: self.variant.name(),
-                    },
-                ));
+            _ if instr.is_data() => {
+                self.async_block_data(flow, g, instr, &mut units[g])?;
+                unit = None;
             }
+            _ => match self.control(flow, instr)? {
+                Some(Control::Goto(t)) => {
+                    next_pc = t;
+                    if n > 1 && matches!(instr, DecodedInst::Br { .. }) {
+                        self.engine_counters.compressed_slices += 1;
+                    }
+                }
+                Some(Control::Halt) => {}
+                None => return Err(self.unsupported(flow.id, pc, self.variant.name())),
+            },
         }
 
         flow.pc = next_pc;
-        if !pushed {
-            units[g].push(UnitSeq::ComputeRun {
-                flow: flow.id,
-                thread0: 0,
-                count: n,
-            });
-        }
+        units[g].extend(unit);
         Ok(n)
     }
 
-    /// Replays a fallback slice's per-lane results into `rd`, counting a
-    /// materialized compressed register under the `async_slice` decay
-    /// reason.
-    fn block_write_lanes(
+    /// `spawn n` by unit flow `flow`: one block flow per group carries the
+    /// spawn's lanes `g, g + G, g + 2G, …` — O(G) flows for any `n`, with
+    /// `tid` as a compressed affine progression. The round-robin group
+    /// mapping matches the per-thread XMT dynamic scheduling exactly.
+    fn async_spawn(
         &mut self,
         flow: &mut Flow,
-        rd: tcf_isa::reg::Reg,
-        scratch: &mut AsyncScratch,
-    ) {
-        let n = flow.thickness;
-        if flow.regs.write_lanes(rd, 0, &scratch.vals[..n], n) {
-            self.thick_decay.async_slice += 1;
+        count: Operand,
+        target: usize,
+    ) -> Result<(), TcfError> {
+        let n = match count {
+            Operand::Reg(r) => flow.regs.read(r, 0),
+            Operand::Imm(w) => w,
+        };
+        if n < 0 {
+            return Err(self.flow_err(flow.id, TcfFault::BadThickness { requested: n }));
         }
-        self.engine_counters.per_lane_slices += 1;
+        let entry = self.abs(flow.id, target)?;
+        let n = n as usize;
+        if n == 0 {
+            // Nothing to wait for; fall through.
+            return Ok(());
+        }
+        let groups = self.config.groups;
+        for g2 in 0..groups.min(n) {
+            let len = (n - g2).div_ceil(groups);
+            let cid = self.alloc_id();
+            let mut child = Flow::new(cid, len, entry, 0);
+            // Flow-wise inheritance without first cloning the parent's
+            // per-thread lane storage.
+            child.regs = flow.regs.clone_flowwise();
+            child.parent = Some(flow.id);
+            child.tid_offset = g2;
+            child.tid_stride = groups;
+            child.fragments = vec![Fragment::new(g2, 0, len)];
+            self.flows.insert(cid, child);
+            self.obs.emit(
+                self.steps,
+                self.clock,
+                FlowEvent::FlowSpawned {
+                    flow: cid,
+                    parent: Some(flow.id),
+                    thickness: len,
+                },
+            );
+        }
+        flow.status = FlowStatus::WaitingSpawn { pending: n };
+        self.obs.emit(
+            self.steps,
+            self.clock,
+            FlowEvent::Split {
+                flow: flow.id,
+                arms: n,
+            },
+        );
+        self.obs.emit(
+            self.steps,
+            self.clock,
+            FlowEvent::WaitBegin {
+                flow: flow.id,
+                pending: n,
+            },
+        );
+        Ok(())
     }
 
-    /// Executes exactly one instruction of unit-thick flow `flow` on
-    /// group `g` — the scalar path every pre-spawn (and post-shatter)
-    /// async flow takes.
-    fn async_unit_instr(
+    /// A branch whose operand differs between the block's lanes: split
+    /// the block into contiguous same-outcome runs (compressed condition
+    /// values yield their runs without materializing; explicit lanes force
+    /// the scan). The first run stays on `flow`; returns its next pc.
+    fn split_divergent(
         &mut self,
         flow: &mut Flow,
         g: usize,
-        units: &mut [Vec<UnitSeq>],
-    ) -> Result<(), TcfError> {
-        let pc = flow.pc;
-        // `Copy` fetch from the pre-decoded program: no per-instruction
-        // clone.
-        let instr = match self.decoded.fetch(pc) {
-            Some(i) => i,
-            None => return Err(self.flow_err(flow.id, TcfFault::PcOutOfRange { pc })),
-        };
-        self.stats.fetches += 1;
-        self.obs
-            .emit(self.steps, self.clock, FlowEvent::Fetch { flow: flow.id });
-        let mut next_pc = pc + 1;
-        let mut unit = IssueUnit::compute(flow.id, 0);
-
-        match instr {
-            DecodedInst::Alu { op, rd, ra, rb } => {
-                let a = flow.regs.read(ra, 0);
-                let b = match rb {
-                    Operand::Reg(r) => flow.regs.read(r, 0),
-                    Operand::Imm(w) => w,
-                };
-                flow.regs.write_uniform(rd, op.eval(a, b));
-            }
-            DecodedInst::Ldi { rd, imm } => flow.regs.write_uniform(rd, imm),
-            DecodedInst::Mfs { rd, sr } => {
-                let v = self.special(flow, 0, sr);
-                flow.regs.write_uniform(rd, v);
-            }
-            DecodedInst::Sel { rd, cond, rt, rf } => {
-                let v = if flow.regs.read(cond, 0) != 0 {
-                    flow.regs.read(rt, 0)
-                } else {
-                    match rf {
-                        Operand::Reg(r) => flow.regs.read(r, 0),
-                        Operand::Imm(w) => w,
-                    }
-                };
-                flow.regs.write_uniform(rd, v);
-            }
-            DecodedInst::Ld {
-                rd,
-                base,
-                off,
-                space,
-            } => {
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = match space {
-                    MemSpace::Shared => {
-                        unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                        self.shared
-                            .peek(addr)
-                            .map_err(|e| self.flow_err(flow.id, e.into()))?
-                    }
-                    MemSpace::Local => {
-                        unit = IssueUnit::local_mem(flow.id, 0);
-                        self.locals[g]
-                            .read(addr)
-                            .map_err(|e| self.flow_err(flow.id, e.into()))?
-                    }
-                };
-                flow.regs.write_uniform(rd, v);
-            }
-            DecodedInst::St {
-                rs,
-                base,
-                off,
-                space,
-            }
-            | DecodedInst::StMasked {
-                rs,
-                base,
-                off,
-                space,
-                ..
-            } => {
-                let masked_out = matches!(instr, DecodedInst::StMasked { cond, .. }
-                    if flow.regs.read(cond, 0) == 0);
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = flow.regs.read(rs, 0);
-                if !masked_out {
-                    match space {
-                        MemSpace::Shared => {
-                            unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                            self.shared
-                                .poke(addr, v)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        }
-                        MemSpace::Local => {
-                            unit = IssueUnit::local_mem(flow.id, 0);
-                            self.locals[g]
-                                .write(addr, v)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        }
-                    }
-                }
-            }
-            DecodedInst::MultiOp {
-                kind,
-                base,
-                off,
-                rs,
-            }
-            | DecodedInst::MultiPrefix {
-                kind,
-                base,
-                off,
-                rs,
-                ..
-            } => {
-                // XMT `ps`: atomic fetch-and-op.
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = flow.regs.read(rs, 0);
-                unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                let old = self
-                    .shared
-                    .peek(addr)
-                    .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                self.shared
-                    .poke(addr, kind.combine(old, v))
-                    .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                if let DecodedInst::MultiPrefix { rd, .. } = instr {
-                    flow.regs.write_uniform(rd, old);
-                }
-            }
-            DecodedInst::Jmp { target } => next_pc = self.abs(flow.id, target)?,
-            DecodedInst::Br { cond, rs, target } => {
-                if cond.holds(flow.regs.read(rs, 0)) {
-                    next_pc = self.abs(flow.id, target)?;
-                }
-            }
-            DecodedInst::Call { target } => {
-                let dst = self.abs(flow.id, target)?;
-                flow.call_stack.push(pc + 1);
-                next_pc = dst;
-            }
-            DecodedInst::Ret => match flow.call_stack.pop() {
-                Some(ra) => next_pc = ra,
-                None => return Err(self.flow_err(flow.id, TcfFault::EmptyCallStack)),
-            },
-            DecodedInst::Spawn { count, target } => {
-                let n = match count {
-                    Operand::Reg(r) => flow.regs.read(r, 0),
-                    Operand::Imm(w) => w,
-                };
-                if n < 0 {
-                    return Err(self.flow_err(flow.id, TcfFault::BadThickness { requested: n }));
-                }
-                let entry = self.abs(flow.id, target)?;
-                let n = n as usize;
-                if n == 0 {
-                    // Nothing to wait for; fall through.
-                } else {
-                    // One block flow per group carries the spawn's lanes
-                    // `g, g + G, g + 2G, …` — O(G) flows for any `n`,
-                    // with `tid` as a compressed affine progression. The
-                    // round-robin group mapping matches the per-thread
-                    // XMT dynamic scheduling exactly.
-                    let groups = self.config.groups;
-                    for g2 in 0..groups.min(n) {
-                        let len = (n - g2).div_ceil(groups);
-                        let cid = self.alloc_id();
-                        let mut child = Flow::new(cid, len, entry, flow.regs.len());
-                        // Flow-wise inheritance without first cloning the
-                        // parent's per-thread lane storage.
-                        child.regs = flow.regs.clone_flowwise();
-                        child.parent = Some(flow.id);
-                        child.tid_offset = g2;
-                        child.tid_stride = groups;
-                        child.fragments = vec![Fragment::new(g2, 0, len)];
-                        self.flows.insert(cid, child);
-                        self.obs.emit(
-                            self.steps,
-                            self.clock,
-                            FlowEvent::FlowSpawned {
-                                flow: cid,
-                                parent: Some(flow.id),
-                                thickness: len,
-                            },
-                        );
-                    }
-                    flow.status = FlowStatus::WaitingSpawn { pending: n };
-                    self.obs.emit(
-                        self.steps,
-                        self.clock,
-                        FlowEvent::Split {
-                            flow: flow.id,
-                            arms: n,
-                        },
-                    );
-                    self.obs.emit(
-                        self.steps,
-                        self.clock,
-                        FlowEvent::WaitBegin {
-                            flow: flow.id,
-                            pending: n,
-                        },
-                    );
-                }
-                unit = IssueUnit::overhead(flow.id);
-            }
-            DecodedInst::SJoin => {
-                let parent = flow
-                    .parent
-                    .ok_or_else(|| self.flow_err(flow.id, TcfFault::StrayJoin))?;
-                flow.status = FlowStatus::Halted;
-                self.obs.emit(
-                    self.steps,
-                    self.clock,
-                    FlowEvent::Join {
-                        flow: flow.id,
-                        parent: Some(parent),
-                    },
-                );
-                self.obs.emit(
-                    self.steps,
-                    self.clock,
-                    FlowEvent::FlowHalted { flow: flow.id },
-                );
-                self.notify_join(parent)?;
-            }
-            DecodedInst::Sync | DecodedInst::Nop => {}
-            DecodedInst::Halt => {
-                flow.status = FlowStatus::Halted;
-                self.obs.emit(
-                    self.steps,
-                    self.clock,
-                    FlowEvent::FlowHalted { flow: flow.id },
-                );
-            }
-            DecodedInst::SetThick { .. }
-            | DecodedInst::Numa { .. }
-            | DecodedInst::EndNuma
-            | DecodedInst::Split { .. }
-            | DecodedInst::Join => {
-                // Cold fault path: render the source instruction.
-                return Err(self.flow_err(
-                    flow.id,
-                    TcfFault::UnsupportedByVariant {
-                        instr: self
-                            .program
-                            .fetch(pc)
-                            .map(|i| i.to_string())
-                            .unwrap_or_default(),
-                        variant: self.variant.name(),
-                    },
-                ));
-            }
+        cond: BrCond,
+        rs: Reg,
+        target: usize,
+        scratch: &mut AsyncScratch,
+    ) -> Result<usize, TcfError> {
+        let (pc, n) = (flow.pc, flow.thickness);
+        let taken_pc = self.abs(flow.id, target)?;
+        if flow.regs.value(rs).run_count() > 0 {
+            self.engine_counters.mask_hits += 1;
+        } else {
+            self.engine_counters.mask_misses += 1;
         }
+        scratch.runs.clear();
+        let mut e = 0usize;
+        while e < n {
+            let t0 = cond.holds(flow.regs.read(rs, e));
+            let mut j = e + 1;
+            while j < n && cond.holds(flow.regs.read(rs, j)) == t0 {
+                j += 1;
+            }
+            scratch.runs.push((j - e, t0));
+            e = j;
+        }
+        let dest = |taken: bool| if taken { taken_pc } else { pc + 1 };
+        let (front_len, front_taken) = scratch.runs[0];
+        let mut off = front_len;
+        for &(len, taken) in &scratch.runs[1..] {
+            let sid = self.carve_block(flow, g, off, len, dest(taken), flow.parent);
+            scratch.pending.push(sid);
+            off += len;
+        }
+        keep_front(flow, g, front_len);
+        Ok(dest(front_taken))
+    }
 
-        flow.pc = next_pc;
-        units[g].push(unit.into());
-        Ok(())
+    /// One data instruction of a multi-lane spawn block, through the thick
+    /// ladder on the direct port: closed-form and vectorized where the
+    /// operands allow it, the scalar lane loop otherwise and for every
+    /// memory instruction. The window is never wider than the scheduling
+    /// quantum, so the lane loop is O(T_p), not O(spawn width). A lane
+    /// run that materializes a compressed register counts under the
+    /// `async_slice` decay reason.
+    fn async_block_data(
+        &mut self,
+        flow: &mut Flow,
+        g: usize,
+        instr: DecodedInst,
+        units: &mut Vec<UnitSeq>,
+    ) -> Result<(), TcfError> {
+        let n = flow.thickness;
+        // Every spawned XMT thread is unit-thick, however wide the block
+        // carrying it.
+        let instr = match instr {
+            DecodedInst::Mfs {
+                rd,
+                sr: SpecialReg::Thickness,
+            } => DecodedInst::Ldi { rd, imm: 1 },
+            other => other,
+        };
+        // The pooled output stays in its slot (a `FragOut` is a few hundred
+        // bytes of buffer headers); only the pool's own header moves.
+        let mut pool = std::mem::take(&mut self.frag_pool);
+        if pool.is_empty() {
+            pool.push(FragOut::empty());
+        }
+        let out = &mut pool[0];
+        out.reset(Fragment::new(g, 0, n), 0..n, false);
+        let ctx = ThickCtx {
+            flow,
+            instr,
+            group: g,
+            config: &self.config,
+            step: self.steps,
+        };
+        let mut port = DirectPort {
+            shared: &mut self.shared,
+            local: &mut self.locals[g],
+        };
+        exec_thick_lanes(&ctx, &mut port, out);
+        let fault = out.fault.take();
+        if fault.is_none() {
+            self.tally_slice(out);
+            match out.reg_affine[..] {
+                // The window is the whole flow, so one progression over it
+                // replaces the register outright, explicit lanes included.
+                [(rd, 0, count, vbase, vstride)] if count == n => flow
+                    .regs
+                    .write_value(rd, ThickValue::affine(vbase, vstride)),
+                _ => self.thick_decay.async_slice += out.replay_regs(&mut flow.regs, n),
+            }
+            units.extend_from_slice(&out.units);
+        }
+        self.frag_pool = pool;
+        fault.map_or(Ok(()), Err)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use tcf_isa::op::AluOp;
     use tcf_isa::reg::{r, SpecialReg};
     use tcf_isa::ProgramBuilder;
     use tcf_machine::MachineConfig;
@@ -944,7 +549,9 @@ mod tests {
 
     /// A windowed per-lane write that lands on a compressed (affine)
     /// register is billed to the `async_slice` decay reason; uniform
-    /// promotions stay free, exactly like the synchronous engines.
+    /// promotions stay free, exactly like the synchronous engines. Memory
+    /// applies lane by lane on the direct port, so a load's replies are
+    /// such a write (a masked `sel` would stay compressed).
     #[test]
     fn affine_overwrite_in_a_block_counts_async_slice() {
         let mut b = ProgramBuilder::new();
@@ -952,9 +559,7 @@ mod tests {
         b.halt();
         b.label("task");
         b.mfs(r(1), SpecialReg::Tid); // affine across the block
-        b.ldi(r(3), 5);
-        b.alu(AluOp::Slt, r(2), r(1), 32); // non-uniform mask (2 runs)
-        b.sel(r(1), r(2), r(1), r(3)); // per-lane write onto affine r1
+        b.ld(r(1), r(1), 0); // per-lane replies (all 0) onto affine r1
         b.sjoin();
         let mut m = machine(b.build().unwrap());
         let s = m.run(10_000_000).expect("spawn drains");

@@ -10,8 +10,6 @@
 //!
 //! [`GroupPipeline::run_step`]: tcf_machine::GroupPipeline::run_step
 
-use tcf_isa::instr::{MemSpace, Operand};
-use tcf_isa::word::to_addr;
 use tcf_machine::{IssueUnit, UnitKind, UnitSeq};
 use tcf_obs::{FlowEvent, Mode};
 
@@ -19,6 +17,7 @@ use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{ExecMode, Flow, FlowStatus};
 use crate::machine::TcfMachine;
+use crate::semantics::{flowwise, Control, DirectPort};
 use crate::variant::Variant;
 
 impl TcfMachine {
@@ -64,189 +63,43 @@ impl TcfMachine {
 
         for slot in 0..slots {
             let pc = flow.pc;
-            // `Copy` fetch from the pre-decoded program: no per-slot clone.
-            let instr = match self.decoded.fetch(pc) {
-                Some(i) => i,
-                None => return Err(self.flow_err(flow.id, TcfFault::PcOutOfRange { pc })),
-            };
-            self.stats.fetches += 1;
-            self.obs
-                .emit(self.steps, self.clock, FlowEvent::Fetch { flow: flow.id });
+            let instr = self.fetch(flow)?;
             let mut next_pc = pc + 1;
             let mut unit = IssueUnit::compute(flow.id, 0);
 
-            match instr {
-                DecodedInst::Alu { op, rd, ra, rb } => {
-                    let a = flow.regs.read(ra, 0);
-                    let b = match rb {
-                        Operand::Reg(r) => flow.regs.read(r, 0),
-                        Operand::Imm(w) => w,
-                    };
-                    flow.regs.write_uniform(rd, op.eval(a, b));
-                }
-                DecodedInst::Ldi { rd, imm } => flow.regs.write_uniform(rd, imm),
-                DecodedInst::Mfs { rd, sr } => {
-                    let v = self.special(flow, 0, sr);
-                    flow.regs.write_uniform(rd, v);
-                }
-                DecodedInst::Sel { rd, cond, rt, rf } => {
-                    let v = if flow.regs.read(cond, 0) != 0 {
-                        flow.regs.read(rt, 0)
-                    } else {
-                        match rf {
-                            Operand::Reg(r) => flow.regs.read(r, 0),
-                            Operand::Imm(w) => w,
-                        }
-                    };
-                    flow.regs.write_uniform(rd, v);
-                }
-                DecodedInst::Ld {
-                    rd,
-                    base,
-                    off,
-                    space,
-                } => {
-                    let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                    let v = match space {
-                        MemSpace::Shared => {
-                            unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                            self.shared
-                                .peek(addr)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?
-                        }
-                        MemSpace::Local => {
-                            unit = IssueUnit::local_mem(flow.id, 0);
-                            self.locals[home]
-                                .read(addr)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?
-                        }
-                    };
-                    flow.regs.write_uniform(rd, v);
-                }
-                DecodedInst::St {
-                    rs,
-                    base,
-                    off,
-                    space,
-                }
-                | DecodedInst::StMasked {
-                    rs,
-                    base,
-                    off,
-                    space,
-                    ..
-                } => {
-                    let masked_out = matches!(instr, DecodedInst::StMasked { cond, .. }
-                        if flow.regs.read(cond, 0) == 0);
-                    let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                    let v = flow.regs.read(rs, 0);
-                    if !masked_out {
-                        match space {
-                            MemSpace::Shared => {
-                                unit =
-                                    IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                                self.shared
-                                    .poke(addr, v)
-                                    .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                            }
-                            MemSpace::Local => {
-                                unit = IssueUnit::local_mem(flow.id, 0);
-                                self.locals[home]
-                                    .write(addr, v)
-                                    .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                            }
-                        }
+            if instr.is_data() {
+                // The stream is flow-wise (registers collapsed on entry):
+                // lane 0, sequentially consistent memory.
+                let mut port = DirectPort {
+                    shared: &mut self.shared,
+                    local: &mut self.locals[home],
+                };
+                unit = flowwise(instr, flow, &self.config, &mut port)
+                    .map_err(|f| self.flow_err(flow.id, f))?;
+            } else if let DecodedInst::EndNuma = instr {
+                flow.pc = pc + 1;
+                self.exit_numa(flow);
+                self.obs.emit(
+                    self.steps,
+                    self.clock,
+                    FlowEvent::ModeSwitch {
+                        flow: flow.id,
+                        mode: Mode::Pram,
+                    },
+                );
+                units[home].extend(run.take());
+                units[home].push(IssueUnit::overhead(flow.id).into());
+                return Ok(());
+            } else {
+                match self.control(flow, instr)? {
+                    Some(Control::Goto(target)) => next_pc = target,
+                    Some(Control::Halt) => {
+                        self.halt_absorbed(flow.id);
+                        units[home].extend(run.take());
+                        units[home].push(unit.into());
+                        return Ok(());
                     }
-                }
-                DecodedInst::MultiOp {
-                    kind,
-                    base,
-                    off,
-                    rs,
-                }
-                | DecodedInst::MultiPrefix {
-                    kind,
-                    base,
-                    off,
-                    rs,
-                    ..
-                } => {
-                    // Sequential stream: read-modify-write; a multiprefix
-                    // returns the old value.
-                    let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                    let v = flow.regs.read(rs, 0);
-                    unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                    let old = self
-                        .shared
-                        .peek(addr)
-                        .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                    self.shared
-                        .poke(addr, kind.combine(old, v))
-                        .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                    if let DecodedInst::MultiPrefix { rd, .. } = instr {
-                        flow.regs.write_uniform(rd, old);
-                    }
-                }
-                DecodedInst::Jmp { target } => next_pc = self.abs(flow.id, target)?,
-                DecodedInst::Br { cond, rs, target } => {
-                    if cond.holds(flow.regs.read(rs, 0)) {
-                        next_pc = self.abs(flow.id, target)?;
-                    }
-                }
-                DecodedInst::Call { target } => {
-                    let dst = self.abs(flow.id, target)?;
-                    flow.call_stack.push(pc + 1);
-                    next_pc = dst;
-                }
-                DecodedInst::Ret => match flow.call_stack.pop() {
-                    Some(ra) => next_pc = ra,
-                    None => return Err(self.flow_err(flow.id, TcfFault::EmptyCallStack)),
-                },
-                DecodedInst::EndNuma => {
-                    flow.pc = pc + 1;
-                    self.exit_numa(flow);
-                    self.obs.emit(
-                        self.steps,
-                        self.clock,
-                        FlowEvent::ModeSwitch {
-                            flow: flow.id,
-                            mode: Mode::Pram,
-                        },
-                    );
-                    if let Some(prev) = run.take() {
-                        units[home].push(prev);
-                    }
-                    units[home].push(IssueUnit::overhead(flow.id).into());
-                    return Ok(());
-                }
-                DecodedInst::Halt => {
-                    flow.status = FlowStatus::Halted;
-                    self.halt_absorbed(flow.id);
-                    self.obs.emit(
-                        self.steps,
-                        self.clock,
-                        FlowEvent::FlowHalted { flow: flow.id },
-                    );
-                    if let Some(prev) = run.take() {
-                        units[home].push(prev);
-                    }
-                    units[home].push(unit.into());
-                    return Ok(());
-                }
-                DecodedInst::Sync | DecodedInst::Nop => {}
-                _ => {
-                    // Cold fault path: render the source instruction.
-                    return Err(self.flow_err(
-                        flow.id,
-                        TcfFault::UnsupportedByVariant {
-                            instr: self
-                                .program
-                                .fetch(pc)
-                                .map(|i| i.to_string())
-                                .unwrap_or_default(),
-                            variant: "NUMA mode",
-                        },
-                    ));
+                    None => return Err(self.unsupported(flow.id, pc, "NUMA mode")),
                 }
             }
 
@@ -255,9 +108,7 @@ impl TcfMachine {
                 (UnitKind::Compute, Some(UnitSeq::ComputeRun { count, .. })) => *count += 1,
                 (UnitKind::MemLocal, Some(UnitSeq::LocalRun { count, .. })) => *count += 1,
                 (UnitKind::Compute, r) => {
-                    if let Some(prev) = r.take() {
-                        units[home].push(prev);
-                    }
+                    units[home].extend(r.take());
                     *r = Some(UnitSeq::ComputeRun {
                         flow: flow.id,
                         thread0: slot,
@@ -265,9 +116,7 @@ impl TcfMachine {
                     });
                 }
                 (UnitKind::MemLocal, r) => {
-                    if let Some(prev) = r.take() {
-                        units[home].push(prev);
-                    }
+                    units[home].extend(r.take());
                     *r = Some(UnitSeq::LocalRun {
                         flow: flow.id,
                         thread0: slot,
@@ -275,16 +124,12 @@ impl TcfMachine {
                     });
                 }
                 (_, r) => {
-                    if let Some(prev) = r.take() {
-                        units[home].push(prev);
-                    }
+                    units[home].extend(r.take());
                     units[home].push(unit.into());
                 }
             }
         }
-        if let Some(prev) = run.take() {
-            units[home].push(prev);
-        }
+        units[home].extend(run);
         Ok(())
     }
 

@@ -10,39 +10,19 @@
 //! operands) — or *thick* — one operation per implicit thread, executed
 //! over the flow's fragments and bounded per step under Balanced.
 
-use tcf_isa::instr::{MemSpace, Operand};
+use tcf_isa::instr::Operand;
 use tcf_isa::reg::{Reg, SpecialReg};
-use tcf_isa::word::{to_addr, Word};
+use tcf_isa::word::Word;
 use tcf_machine::{IssueUnit, UnitSeq};
-use tcf_mem::{BulkView, MemOp, MemRef, RefOrigin};
+use tcf_mem::BulkView;
 use tcf_obs::{FlowEvent, Mode};
 
-use crate::decoded::{DecodedInst, DecodedProgram};
+use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{ExecMode, Flow, FlowStatus, Fragment};
 use crate::machine::{TcfMachine, MAX_THICKNESS};
+use crate::semantics::{flowwise, Control, StepPort, StepSink, WbTarget};
 use crate::variant::Variant;
-
-/// Destination lanes of a pending register write-back.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WbTarget {
-    /// Flow-wise load: the value becomes uniform.
-    Uniform,
-    /// One implicit thread's lane.
-    Lane(usize),
-    /// `count` consecutive lanes starting at `base`, served by a single
-    /// strided bulk reference; replies arrive via
-    /// [`tcf_mem::BulkReplies`] rather than the scalar reply vector.
-    Lanes { base: usize, count: usize },
-}
-
-/// Pending register write-back from the shared-memory step.
-pub(crate) struct Writeback {
-    pub flow: u32,
-    pub rd: Reg,
-    pub target: WbTarget,
-    pub ref_idx: usize,
-}
 
 /// Reusable buffers of the synchronous step — one bundle per machine, so
 /// the steady-state loop performs no per-step allocation once every
@@ -53,8 +33,8 @@ pub(crate) struct Writeback {
 pub(crate) struct StepBufs {
     pram_units: Vec<Vec<UnitSeq>>,
     numa_units: Vec<Vec<UnitSeq>>,
-    refs: Vec<MemRef>,
-    wbs: Vec<Writeback>,
+    /// The step's shared references and pending write-backs.
+    mem: StepSink,
     numa_flows: Vec<u32>,
     slots_used: Vec<usize>,
     /// Flow ids snapshotted at step start (status changes mid-step).
@@ -83,14 +63,12 @@ impl TcfMachine {
         for u in &mut bufs.numa_units {
             u.clear();
         }
-        bufs.refs.clear();
-        bufs.wbs.clear();
+        bufs.mem.clear();
         bufs.numa_flows.clear();
         let StepBufs {
             pram_units,
             numa_units,
-            refs,
-            wbs,
+            mem,
             numa_flows,
             slots_used,
             ids,
@@ -129,7 +107,7 @@ impl TcfMachine {
                     }
                     self.activate_in_buffers(id, pram_units);
                     slots_used[self.flows[&id].home_group()] += 1;
-                    self.exec_pram_instruction(id, pram_units, refs, wbs)?;
+                    self.exec_pram_instruction(id, pram_units, mem)?;
                 }
             }
         }
@@ -146,14 +124,14 @@ impl TcfMachine {
         // Phase 2: one PRAM memory step for all flows' references
         // (sharded per memory module under the parallel engine). Replies
         // land in the machine-owned `mem_replies` buffer.
-        let mstats = self.memory_step(refs)?;
+        let mstats = self.memory_step(&mem.refs)?;
         self.mem_stats.absorb(&mstats);
 
         // Phase 3: write-backs. Bulk (strided-read) replies are taken
         // out of the machine for the loop so a borrowed reply view can
         // coexist with the `&mut` flow borrow.
         let bulk = std::mem::take(&mut self.mem_bulk);
-        for wb in wbs.iter() {
+        for wb in mem.wbs.iter() {
             match wb.target {
                 WbTarget::Uniform => {
                     if let Some(v) = self.mem_replies[wb.ref_idx] {
@@ -253,11 +231,10 @@ impl TcfMachine {
         &mut self,
         id: u32,
         units: &mut [Vec<UnitSeq>],
-        refs: &mut Vec<MemRef>,
-        wbs: &mut Vec<Writeback>,
+        sink: &mut StepSink,
     ) -> Result<(), TcfError> {
         let mut flow = self.flows.remove(&id).expect("flow exists");
-        let result = self.exec_pram_inner(&mut flow, units, refs, wbs);
+        let result = self.exec_pram_inner(&mut flow, units, sink);
         self.flows.insert(id, flow);
         result
     }
@@ -266,19 +243,10 @@ impl TcfMachine {
         &mut self,
         flow: &mut Flow,
         units: &mut [Vec<UnitSeq>],
-        refs: &mut Vec<MemRef>,
-        wbs: &mut Vec<Writeback>,
+        sink: &mut StepSink,
     ) -> Result<(), TcfError> {
         let pc = flow.pc;
-        // The pre-decoded instruction is `Copy`: fetching it takes no
-        // allocation and leaves the machine unborrowed.
-        let instr = match self.decoded.fetch(pc) {
-            Some(i) => i,
-            None => return Err(self.flow_err(flow.id, TcfFault::PcOutOfRange { pc })),
-        };
-        self.stats.fetches += 1;
-        self.obs
-            .emit(self.steps, self.clock, FlowEvent::Fetch { flow: flow.id });
+        let instr = self.fetch(flow)?;
 
         if self.is_thick(flow, instr) {
             // Rank-contiguous slicing: the flow has ONE next-operation
@@ -309,7 +277,7 @@ impl TcfMachine {
             let mut outs = std::mem::take(&mut self.frag_pool);
             self.exec_slices(flow, instr, &slices, &mut outs);
             let n = slices.len();
-            let merged = self.merge_frag_outs(flow, &mut outs[..n], units, refs, wbs);
+            let merged = self.merge_frag_outs(flow, &mut outs[..n], units, sink);
             self.slice_buf = slices;
             self.frag_pool = outs;
             merged?;
@@ -320,7 +288,7 @@ impl TcfMachine {
             }
             Ok(())
         } else {
-            self.exec_flowwise(flow, instr, units, refs, wbs)
+            self.exec_flowwise(flow, instr, units, sink)
         }
     }
 
@@ -331,173 +299,52 @@ impl TcfMachine {
         flow: &mut Flow,
         instr: DecodedInst,
         units: &mut [Vec<UnitSeq>],
-        refs: &mut Vec<MemRef>,
-        wbs: &mut Vec<Writeback>,
+        sink: &mut StepSink,
     ) -> Result<(), TcfError> {
+        let home = flow.home_group();
+        let (next_pc, unit) = if instr.is_data() {
+            // Lane 0 stands for the whole flow: its operands are the
+            // common operands, its reference ranks as implicit thread 0,
+            // and its result is uniform.
+            let mut port = StepPort {
+                shared: &self.shared,
+                local: &mut self.locals[home],
+                sink,
+                flow: flow.id,
+                group: home,
+                rank_base: flow.rank_base,
+                flowwise: true,
+            };
+            let unit = flowwise(instr, flow, &self.config, &mut port)
+                .map_err(|f| self.flow_err(flow.id, f))?;
+            (flow.pc + 1, unit)
+        } else {
+            self.exec_flow_control(flow, instr, units)?
+        };
+        flow.pc = next_pc;
+        units[home].push(unit.into());
+        Ok(())
+    }
+
+    /// The flow-wise instructions that are not data: this engine's own
+    /// thickness control, NUMA entry and `split`/`join`, and the control
+    /// transfer shared with every engine ([`TcfMachine::control`]).
+    /// Returns the next pc and the issue unit the instruction occupies.
+    fn exec_flow_control(
+        &mut self,
+        flow: &mut Flow,
+        instr: DecodedInst,
+        units: &mut [Vec<UnitSeq>],
+    ) -> Result<(usize, IssueUnit), TcfError> {
         let home = flow.home_group();
         let pc = flow.pc;
         let mut next_pc = pc + 1;
         let mut unit = IssueUnit::compute(flow.id, 0);
-        // Flow-wise origin: rank of implicit thread 0.
-        let origin = RefOrigin::new(home, flow.rank_base);
-
-        let fid = flow.id;
-        // Cold fault path: render the *source* instruction at `pc` (the
-        // decoded form has no display).
-        let unsupported = move |m: &TcfMachine| {
-            m.flow_err(
-                fid,
-                TcfFault::UnsupportedByVariant {
-                    instr: m
-                        .program
-                        .fetch(pc)
-                        .map(|i| i.to_string())
-                        .unwrap_or_default(),
-                    variant: m.variant.name(),
-                },
-            )
-        };
 
         match instr {
-            DecodedInst::Alu { op, rd, ra, rb } => {
-                let a = flow.regs.read(ra, 0);
-                let b = match rb {
-                    Operand::Reg(r) => flow.regs.read(r, 0),
-                    Operand::Imm(w) => w,
-                };
-                flow.regs.write_uniform(rd, op.eval(a, b));
-            }
-            DecodedInst::Ldi { rd, imm } => flow.regs.write_uniform(rd, imm),
-            DecodedInst::Mfs { rd, sr } => {
-                let v = self.special(flow, 0, sr);
-                flow.regs.write_uniform(rd, v);
-            }
-            DecodedInst::Sel { rd, cond, rt, rf } => {
-                let v = if flow.regs.read(cond, 0) != 0 {
-                    flow.regs.read(rt, 0)
-                } else {
-                    match rf {
-                        Operand::Reg(r) => flow.regs.read(r, 0),
-                        Operand::Imm(w) => w,
-                    }
-                };
-                flow.regs.write_uniform(rd, v);
-            }
-            DecodedInst::Ld {
-                rd,
-                base,
-                off,
-                space,
-            } => {
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                match space {
-                    MemSpace::Shared => {
-                        unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                        wbs.push(Writeback {
-                            flow: flow.id,
-                            rd,
-                            target: WbTarget::Uniform,
-                            ref_idx: refs.len(),
-                        });
-                        refs.push(MemRef::new(origin, MemOp::Read(addr)));
-                    }
-                    MemSpace::Local => {
-                        unit = IssueUnit::local_mem(flow.id, 0);
-                        let v = self.locals[home]
-                            .read(addr)
-                            .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        flow.regs.write_uniform(rd, v);
-                    }
-                }
-            }
-            DecodedInst::St {
-                rs,
-                base,
-                off,
-                space,
-            }
-            | DecodedInst::StMasked {
-                rs,
-                base,
-                off,
-                space,
-                ..
-            } => {
-                let masked_out = matches!(instr, DecodedInst::StMasked { cond, .. }
-                    if flow.regs.read(cond, 0) == 0);
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = flow.regs.read(rs, 0);
-                if !masked_out {
-                    match space {
-                        MemSpace::Shared => {
-                            unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                            refs.push(MemRef::new(origin, MemOp::Write(addr, v)));
-                        }
-                        MemSpace::Local => {
-                            unit = IssueUnit::local_mem(flow.id, 0);
-                            self.locals[home]
-                                .write(addr, v)
-                                .map_err(|e| self.flow_err(flow.id, e.into()))?;
-                        }
-                    }
-                }
-            }
-            DecodedInst::MultiOp {
-                kind,
-                base,
-                off,
-                rs,
-            } => {
-                // Thickness 1 (classification guarantees it): one
-                // contribution.
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = flow.regs.read(rs, 0);
-                unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                refs.push(MemRef::new(origin, MemOp::Multi(kind, addr, v)));
-            }
-            DecodedInst::MultiPrefix {
-                kind,
-                rd,
-                base,
-                off,
-                rs,
-            } => {
-                let addr = to_addr(flow.regs.read(base, 0).wrapping_add(off));
-                let v = flow.regs.read(rs, 0);
-                unit = IssueUnit::shared_mem(flow.id, 0, self.shared.module_of(addr));
-                wbs.push(Writeback {
-                    flow: flow.id,
-                    rd,
-                    target: WbTarget::Uniform,
-                    ref_idx: refs.len(),
-                });
-                refs.push(MemRef::new(origin, MemOp::Prefix(kind, addr, v)));
-            }
-            DecodedInst::Jmp { target } => next_pc = self.abs(flow.id, target)?,
-            DecodedInst::Br { cond, rs, target } => {
-                // Borrow-based operand select: test uniformity in place —
-                // no clone of the per-thread vector, no representation
-                // write-back (the old clone never wrote back either).
-                let v = match flow.regs.value(rs).uniform_over(flow.thickness.max(1)) {
-                    Some(v) => v,
-                    None => return Err(self.flow_err(flow.id, TcfFault::DivergentBranch { pc })),
-                };
-                if cond.holds(v) {
-                    next_pc = self.abs(flow.id, target)?;
-                }
-            }
-            DecodedInst::Call { target } => {
-                let dst = self.abs(flow.id, target)?;
-                flow.call_stack.push(pc + 1);
-                next_pc = dst;
-            }
-            DecodedInst::Ret => match flow.call_stack.pop() {
-                Some(ra) => next_pc = ra,
-                None => return Err(self.flow_err(flow.id, TcfFault::EmptyCallStack)),
-            },
             DecodedInst::SetThick { src } => {
                 if !self.variant.supports_setthick() {
-                    return Err(unsupported(self));
+                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
                 }
                 let v = self.uniform_value(flow, src, "setthick")?;
                 if v < 0 || v as usize > MAX_THICKNESS {
@@ -527,7 +374,7 @@ impl TcfMachine {
             }
             DecodedInst::Numa { slots } => {
                 if !self.variant.supports_numa() {
-                    return Err(unsupported(self));
+                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
                 }
                 let v = self.uniform_value(flow, slots, "numa bunch length")?;
                 if v < 1 || v as usize > MAX_THICKNESS {
@@ -553,7 +400,7 @@ impl TcfMachine {
             DecodedInst::EndNuma => return Err(self.flow_err(flow.id, TcfFault::NotInNuma)),
             DecodedInst::Split { arms } => {
                 if !self.variant.supports_split() {
-                    return Err(unsupported(self));
+                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
                 }
                 let mut pending = 0;
                 for ai in arms.indices() {
@@ -630,36 +477,13 @@ impl TcfMachine {
                 );
                 self.notify_join(parent)?;
             }
-            DecodedInst::Spawn { .. } | DecodedInst::SJoin => return Err(unsupported(self)),
-            DecodedInst::Sync | DecodedInst::Nop => {}
-            DecodedInst::Halt => {
-                flow.status = FlowStatus::Halted;
-                self.obs.emit(
-                    self.steps,
-                    self.clock,
-                    FlowEvent::FlowHalted { flow: flow.id },
-                );
-            }
+            _ => match self.control(flow, instr)? {
+                Some(Control::Goto(target)) => next_pc = target,
+                Some(Control::Halt) => {}
+                None => return Err(self.unsupported(flow.id, pc, self.variant.name())),
+            },
         }
-
-        flow.pc = next_pc;
-        units[home].push(unit.into());
-        Ok(())
-    }
-
-    /// Checks a decoded control-transfer target for the unresolved-label
-    /// sentinel (see [`DecodedProgram::UNRESOLVED`]).
-    pub(crate) fn abs(&self, flow: u32, t: usize) -> Result<usize, TcfError> {
-        if t == DecodedProgram::UNRESOLVED {
-            Err(self.flow_err(
-                flow,
-                TcfFault::Internal {
-                    what: "unresolved target".into(),
-                },
-            ))
-        } else {
-            Ok(t)
-        }
+        Ok((next_pc, unit))
     }
 
     /// Decrements a parent's pending-join count, waking it at zero.

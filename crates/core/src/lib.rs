@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 //! # tcf-core — the extended PRAM-NUMA model of computation
 //!
 //! The paper's contribution: replace the *thread* of the PRAM-NUMA model
@@ -52,6 +53,7 @@ pub mod lanes;
 pub mod machine;
 pub mod par_engine;
 pub mod sched;
+mod semantics;
 pub mod thick;
 pub mod variant;
 

@@ -589,11 +589,6 @@ impl TcfMachine {
         }
     }
 
-    /// Special-register value for implicit thread `e` of `flow`.
-    pub(crate) fn special(&self, flow: &Flow, e: usize, sr: SpecialReg) -> Word {
-        special_value(flow, e, sr, &self.config)
-    }
-
     /// Whether any flow can make progress this step.
     pub(crate) fn has_workable_flow(&self) -> bool {
         self.flows.values().any(|f| {
@@ -746,6 +741,17 @@ pub(crate) fn special_value(flow: &Flow, e: usize, sr: SpecialReg, config: &Mach
         SpecialReg::Pid => flow.home_group() as Word,
         SpecialReg::NProcs => config.groups as Word,
         SpecialReg::NThreads => config.threads_per_group as Word,
+    }
+}
+
+/// Per-lane increment of special register `sr`: lane `e` reads
+/// `special_value(flow, 0, sr) + e · special_stride(flow, sr)`, which is
+/// what lets a thick `mfs` write one affine progression.
+pub(crate) fn special_stride(flow: &Flow, sr: SpecialReg) -> Word {
+    match sr {
+        SpecialReg::Tid => flow.tid_stride as Word,
+        SpecialReg::Gid => 1,
+        _ => 0,
     }
 }
 

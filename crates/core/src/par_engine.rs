@@ -41,19 +41,23 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use tcf_isa::instr::{MemSpace, MultiKind, Operand};
+use tcf_isa::op::AluOp;
 use tcf_isa::reg::Reg;
-use tcf_isa::word::{Addr, Word};
-use tcf_machine::{IssueUnit, MachineConfig, UnitSeq};
-use tcf_mem::{LocalMemory, MemError, MemRef, ShardOutcome, SharedMemory, StepStats};
+use tcf_isa::word::{to_addr, Addr, Word};
+use tcf_machine::{MachineConfig, UnitSeq};
+use tcf_mem::{
+    LocalMemory, MemError, MemOp, MemRef, RefOrigin, ShardOutcome, SharedMemory, StepStats,
+};
 use tcf_obs::{FlowEvent, ObsSink};
 
 use crate::decoded::DecodedInst;
 use crate::error::TcfError;
-use crate::exec_sync::{WbTarget, Writeback};
 use crate::flow::{Flow, Fragment};
 use crate::lanes::{self, LanePlanes};
-use crate::machine::TcfMachine;
-use crate::thick::{affine_alu, LaneMask, MaskError, Seg, MASK_RUN_BUDGET};
+use crate::machine::{special_stride, special_value, TcfMachine};
+use crate::semantics::{lane, MemPort, StepPort, StepSink, WbTarget, Writeback};
+use crate::thick::{affine_alu, LaneMask, MaskError, Seg, ThickRegs, MASK_RUN_BUDGET};
 
 /// Which execution engine a machine steps with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,15 +257,13 @@ pub fn global_pool(workers: usize) -> Arc<WorkerPool> {
 // Engine-shared thick-lane executor
 // ---------------------------------------------------------------------------
 
-/// Read-only context for executing one fragment's lanes of a thick
-/// instruction. Everything mutable lands in a [`FragOut`] (or in the
-/// fragment group's own [`LocalMemory`], which no other fragment of the
-/// instruction can touch).
+/// Read-only context for executing one slice's lanes of a thick
+/// instruction. Everything mutable lands in a [`FragOut`] or goes through
+/// the slice's [`MemPort`].
 pub(crate) struct ThickCtx<'a> {
     pub flow: &'a Flow,
     pub instr: DecodedInst,
     pub group: usize,
-    pub shared: &'a SharedMemory,
     pub config: &'a MachineConfig,
     pub step: u64,
 }
@@ -274,12 +276,11 @@ pub(crate) struct FragOut {
     /// Issue units for `frag.group`, in lane order (run-length compressed
     /// when the slice executed in closed form).
     pub units: Vec<UnitSeq>,
-    /// Shared-memory references, in lane order (one strided bulk
-    /// reference stands for the whole slice on the compressed path).
-    pub refs: Vec<MemRef>,
-    /// Pending write-backs as `(rd, destination lanes, index into
-    /// self.refs)`.
-    pub wbs: Vec<(Reg, WbTarget, usize)>,
+    /// Shared-memory references in lane order (one strided bulk reference
+    /// stands for a whole run on the compressed path), the write-backs
+    /// waiting on them (`ref_idx` relative to this slice's references),
+    /// and the slice's local-memory undo log.
+    pub mem: StepSink,
     /// Affine register writes as `(rd, base lane, count, vbase, vstride)`
     /// — the compressed path's counterpart of `reg_runs`, replayed by the
     /// coordinator through `ThickRegs::write_affine`. A slice populates
@@ -295,10 +296,6 @@ pub(crate) struct FragOut {
     pub reg_runs: Vec<(Reg, usize, Range<usize>)>,
     /// Backing values of `reg_runs`, in push order.
     pub reg_values: Vec<Word>,
-    /// `(addr, previous value)` per local-memory write, for rolling the
-    /// group's local memory back when an *earlier* fragment faulted (the
-    /// sequential engine would never have reached this fragment).
-    pub local_undo: Vec<(Addr, Word)>,
     /// Worker-side observability events, absorbed in fragment order.
     pub obs: ObsSink,
     /// First fault; lanes after it did not execute.
@@ -340,12 +337,10 @@ impl FragOut {
             frag: Fragment::new(0, 0, 0),
             range: 0..0,
             units: Vec::new(),
-            refs: Vec::new(),
-            wbs: Vec::new(),
+            mem: StepSink::default(),
             reg_runs: Vec::new(),
             reg_values: Vec::new(),
             reg_affine: Vec::new(),
-            local_undo: Vec::new(),
             obs: ObsSink::disabled(),
             fault: None,
             compressed: false,
@@ -363,12 +358,10 @@ impl FragOut {
         self.frag = frag;
         self.range = range;
         self.units.clear();
-        self.refs.clear();
-        self.wbs.clear();
+        self.mem.clear();
         self.reg_runs.clear();
         self.reg_values.clear();
         self.reg_affine.clear();
-        self.local_undo.clear();
         self.obs = if obs_enabled {
             ObsSink::recording()
         } else {
@@ -396,6 +389,32 @@ impl FragOut {
         self.reg_values.push(v);
         self.reg_runs.push((rd, e, n..n + 1));
     }
+
+    /// Logs consecutive affine runs of `rd` starting at lane `at`.
+    fn log_affine_runs(&mut self, rd: Reg, mut at: usize, runs: &[Seg]) {
+        for s in runs {
+            self.reg_affine
+                .push((rd, at, s.len as usize, s.base, s.stride));
+            at += s.len as usize;
+        }
+    }
+
+    /// Replays the slice's register logs into `regs` (of a flow of
+    /// thickness `t`) — the exact `ThickRegs` write sequence an ascending
+    /// per-lane execution performs. A slice logs register writes either
+    /// per-lane (`reg_runs`) or compressed (`reg_affine`), never both, so
+    /// replay order between the two logs is immaterial. Returns how many
+    /// compressed registers the lane runs decayed.
+    pub(crate) fn replay_regs(&self, regs: &mut ThickRegs, t: usize) -> u64 {
+        let mut decays = 0;
+        for (rd, base, range) in &self.reg_runs {
+            decays += regs.write_lanes(*rd, *base, &self.reg_values[range.clone()], t) as u64;
+        }
+        for &(rd, base, count, vbase, vstride) in &self.reg_affine {
+            regs.write_affine(rd, base, count, vbase, vstride, t);
+        }
+        decays
+    }
 }
 
 /// Lane addresses `to_addr(lane_value + off)` of an affine base operand
@@ -409,7 +428,7 @@ impl FragOut {
 /// ([`SharedMemory::strided_node_step`]; low-order interleaving only).
 /// Returns lane 0's address and the node step.
 fn strided_addr(
-    ctx: &ThickCtx<'_>,
+    shared: &SharedMemory,
     ab: Word,
     off: Word,
     astride: Word,
@@ -421,7 +440,7 @@ fn strided_addr(
     if w0 < 0 || w0 > max || wlast < 0 || wlast > max {
         return None;
     }
-    let node_step = ctx.shared.strided_node_step(astride)?;
+    let node_step = shared.strided_node_step(astride)?;
     Some((w0 as Addr, node_step))
 }
 
@@ -461,76 +480,393 @@ fn each_piece_pair(
     true
 }
 
-/// Truncates a fragment output's accumulating logs back to the given
-/// marks — the masked compressed path emits runs as it walks the mask and
-/// must unwind them completely when a later run escapes the closed form
-/// (the per-lane fallback re-executes the whole slice).
-fn unwind(out: &mut FragOut, marks: (usize, usize, usize, usize)) {
-    let (units, refs, wbs, affine) = marks;
-    out.units.truncate(units);
-    out.refs.truncate(refs);
-    out.wbs.truncate(wbs);
-    out.reg_affine.truncate(affine);
+/// Why a closed-form attempt handed its slice to the per-lane rungs,
+/// ordered by what the counters record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Escape {
+    /// The single-run fast path declined; nothing masked or piecewise was
+    /// attempted.
+    Plain,
+    /// A masked / piecewise attempt met explicit lanes, an inexact
+    /// progression or an unguardable address (`engine.mask_misses`).
+    Miss,
+    /// The run count passed [`MASK_RUN_BUDGET`] (`decay_mask_runs`, and a
+    /// miss).
+    Budget,
 }
 
-/// Emits the closed-form stores of lanes `[sub_lo, sub_lo + n)` — one
-/// [`UnitSeq::SharedRun`] plus one `StridedWrite` per sub-run of the union
-/// split of the base and value registers' run boundaries. `Err(Lanes)`
-/// when either register holds explicit lanes or an address progression
-/// escapes the [`strided_addr`] guard; `Err(Budget)` past the run budget.
-#[allow(clippy::too_many_arguments)]
-fn emit_strided_store(
-    ctx: &ThickCtx<'_>,
-    out: &mut FragOut,
-    a: &mut Vec<Seg>,
-    b: &mut Vec<Seg>,
-    base: Reg,
-    off: Word,
-    rs: Reg,
-    sub_lo: usize,
-    n: usize,
-) -> Result<(), MaskError> {
-    use tcf_mem::{MemOp, RefOrigin};
+impl From<MaskError> for Escape {
+    fn from(e: MaskError) -> Escape {
+        match e {
+            MaskError::Lanes => Escape::Miss,
+            MaskError::Budget => Escape::Budget,
+        }
+    }
+}
 
-    let flow = ctx.flow;
-    a.clear();
-    b.clear();
-    if !flow.regs.value(base).piece_runs(sub_lo, n, a)
-        || !flow.regs.value(rs).piece_runs(sub_lo, n, b)
-    {
-        return Err(MaskError::Lanes);
+/// `Ok(masked)`: the slice completed in closed form, `masked` when it got
+/// there through a lane mask or a piecewise operand split
+/// (`engine.mask_hits`).
+type Closed = Result<bool, Escape>;
+
+/// Appends the affine pieces of operand `o` over lanes `[lo, lo + len)`
+/// to the cleared `dst`; a miss on explicit lanes.
+fn pieces(
+    flow: &Flow,
+    o: Operand,
+    lo: usize,
+    len: usize,
+    dst: &mut Vec<Seg>,
+) -> Result<(), Escape> {
+    dst.clear();
+    let ok = match o {
+        Operand::Reg(r) => flow.regs.value(r).piece_runs(lo, len, dst),
+        Operand::Imm(w) => {
+            dst.push(Seg {
+                len: len as u32,
+                base: w,
+                stride: 0,
+            });
+            true
+        }
+    };
+    ok.then_some(()).ok_or(Escape::Miss)
+}
+
+/// One closed-form attempt at a slice: the per-opcode-class arms of
+/// [`exec_thick_compressed`] and the state they share (the pooled
+/// [`MaskScratch`] is passed beside it, so an arm can walk a piece list
+/// while it emits).
+struct ClosedForm<'a> {
+    ctx: &'a ThickCtx<'a>,
+    out: &'a mut FragOut,
+    /// Module map and reference sink of a reference-collecting port.
+    /// `None` under the direct port: there memory applies lane by lane in
+    /// execution order, so memory instructions always take the lane loop.
+    bulk: Option<(&'a SharedMemory, &'a mut StepSink)>,
+    lo: usize,
+    len: usize,
+}
+
+impl<'a> ClosedForm<'a> {
+    fn affine_reg(&self, r: Reg) -> Option<(Word, Word)> {
+        self.ctx.flow.regs.value(r).affine_over(self.lo, self.len)
     }
-    if a.len().max(b.len()) > MASK_RUN_BUDGET {
-        return Err(MaskError::Budget);
+
+    fn affine_opnd(&self, o: Operand) -> Option<(Word, Word)> {
+        match o {
+            Operand::Reg(r) => self.affine_reg(r),
+            Operand::Imm(w) => Some((w, 0)),
+        }
     }
-    let ok = each_piece_pair(a, b, |start, m, (ab, astride), (vb, vstride)| {
-        let Some((a0, node_step)) = strided_addr(ctx, ab, off, astride, m) else {
-            return false;
-        };
-        out.units.push(UnitSeq::SharedRun {
-            flow: flow.id,
-            thread0: sub_lo + start,
-            count: m,
-            node0: ctx.shared.module_of(a0),
-            node_step,
-            nodes: ctx.shared.modules(),
+
+    fn compute_run(&mut self, thread0: usize, count: usize) {
+        self.out.units.push(UnitSeq::ComputeRun {
+            flow: self.ctx.flow.id,
+            thread0,
+            count,
         });
-        out.refs.push(MemRef::new(
-            RefOrigin::new(ctx.group, flow.rank_base + sub_lo + start),
-            MemOp::StridedWrite {
-                base: a0,
+    }
+
+    /// The whole slice of `rd` becomes one progression.
+    fn whole(&mut self, rd: Reg, (vbase, vstride): (Word, Word)) -> Closed {
+        self.out
+            .reg_affine
+            .push((rd, self.lo, self.len, vbase, vstride));
+        self.compute_run(self.lo, self.len);
+        Ok(false)
+    }
+
+    fn alu(&mut self, s: &mut MaskScratch, op: AluOp, rd: Reg, ra: Reg, rb: Operand) -> Closed {
+        let (flow, lo, len) = (self.ctx.flow, self.lo, self.len);
+        // Single-run fast path: both operands are one progression over
+        // the whole slice.
+        if let (Some(a), Some(b)) = (self.affine_reg(ra), self.affine_opnd(rb)) {
+            let runs = affine_alu(op, a, b, len).ok_or(Escape::Plain)?;
+            self.out.log_affine_runs(rd, lo, runs.runs());
+            self.compute_run(lo, len);
+            return Ok(false);
+        }
+        // Piecewise path: split at the union of both operands' run
+        // boundaries and fold each sub-run. This keeps comparison
+        // results over `Segments` operands compressed — they become
+        // runs (masks) instead of decaying to lanes.
+        pieces(flow, Operand::Reg(ra), lo, len, &mut s.a)?;
+        pieces(flow, rb, lo, len, &mut s.b)?;
+        if s.a.len().max(s.b.len()) > MASK_RUN_BUDGET {
+            return Err(Escape::Budget);
+        }
+        let folded = each_piece_pair(&s.a, &s.b, |start, n, ar, br| {
+            let Some(runs) = affine_alu(op, ar, br, n) else {
+                return false;
+            };
+            self.out.log_affine_runs(rd, lo + start, runs.runs());
+            true
+        });
+        if !folded {
+            return Err(Escape::Miss);
+        }
+        self.compute_run(lo, len);
+        Ok(true)
+    }
+
+    fn sel(&mut self, s: &mut MaskScratch, rd: Reg, cond: Reg, rt: Reg, rf: Operand) -> Closed {
+        let (flow, lo, len) = (self.ctx.flow, self.lo, self.len);
+        // Uniform condition over the slice: every lane takes the same
+        // branch, so the result is the chosen operand's run.
+        if let Some((c, 0)) = self.affine_reg(cond) {
+            let chosen = if c != 0 {
+                self.affine_reg(rt)
+            } else {
+                self.affine_opnd(rf)
+            };
+            if let Some(run) = chosen {
+                return self.whole(rd, run);
+            }
+        }
+        // Masked path: classify the condition's truthiness into a
+        // run-length lane mask and let each run take its branch's pieces.
+        // A uniform condition with a piecewise chosen operand lands here
+        // too — the mask is then a single run.
+        s.mask
+            .rebuild(flow.regs.value(cond), lo, len, MASK_RUN_BUDGET)?;
+        let mut emitted = 0usize;
+        for run in s.mask.runs() {
+            let src = if run.set { Operand::Reg(rt) } else { rf };
+            pieces(flow, src, lo + run.start, run.len, &mut s.a)?;
+            emitted += s.a.len();
+            if emitted > MASK_RUN_BUDGET {
+                return Err(Escape::Budget);
+            }
+            self.out.log_affine_runs(rd, lo + run.start, &s.a);
+        }
+        self.compute_run(lo, len);
+        Ok(true)
+    }
+
+    /// Emits the run-length form of `count` lanes from `thread0` referencing
+    /// shared memory from address `a0` on: one [`UnitSeq::SharedRun`], one
+    /// bulk reference `op`, and — when the reference replies — the lane
+    /// window write-back into `rd`.
+    fn emit_bulk(
+        &mut self,
+        thread0: usize,
+        count: usize,
+        (a0, node_step): (Addr, usize),
+        rd: Option<Reg>,
+        op: MemOp,
+    ) {
+        let flow = self.ctx.flow;
+        let (shared, sink) = self.bulk.as_mut().expect("memory arms hold the sink");
+        self.out.units.push(UnitSeq::SharedRun {
+            flow: flow.id,
+            thread0,
+            count,
+            node0: shared.module_of(a0),
+            node_step,
+            nodes: shared.modules(),
+        });
+        let target = WbTarget::Lanes {
+            base: thread0,
+            count,
+        };
+        sink.push(
+            RefOrigin::new(self.ctx.group, flow.rank_base + thread0),
+            op,
+            rd.map(|rd| (flow.id, rd, target)),
+        );
+    }
+
+    fn shared(&self) -> Result<&'a SharedMemory, Escape> {
+        self.bulk.as_ref().map(|b| b.0).ok_or(Escape::Plain)
+    }
+
+    fn ld(&mut self, s: &mut MaskScratch, rd: Reg, base: Reg, off: Word) -> Closed {
+        let shared = self.shared()?;
+        let (flow, lo, len) = (self.ctx.flow, self.lo, self.len);
+        let read = |a0, stride, count: usize| MemOp::StridedRead {
+            base: a0,
+            stride,
+            count: count as u32,
+        };
+        if let Some((ab, astride)) = self.affine_reg(base) {
+            let at = strided_addr(shared, ab, off, astride, len).ok_or(Escape::Plain)?;
+            self.emit_bulk(lo, len, at, Some(rd), read(at.0, astride, len));
+            return Ok(false);
+        }
+        // Piecewise base: one strided read per address-progression run,
+        // each with its own lane-window writeback — the replies still
+        // land closed-form via `BulkView`.
+        pieces(flow, Operand::Reg(base), lo, len, &mut s.a)?;
+        if s.a.len() > MASK_RUN_BUDGET {
+            return Err(Escape::Budget);
+        }
+        let mut thread0 = lo;
+        for p in &s.a {
+            let m = p.len as usize;
+            let at = strided_addr(shared, p.base, off, p.stride, m).ok_or(Escape::Miss)?;
+            self.emit_bulk(thread0, m, at, Some(rd), read(at.0, p.stride, m));
+            thread0 += m;
+        }
+        Ok(true)
+    }
+
+    /// The closed-form stores of lanes `[sub_lo, sub_lo + n)` — one bulk
+    /// `StridedWrite` per sub-run of the union split of the base and value
+    /// registers' run boundaries. Escapes `Plain` when either register
+    /// holds explicit lanes or an address progression escapes the
+    /// [`strided_addr`] guard, `Budget` past the run budget.
+    fn strided_store(
+        &mut self,
+        s: &mut MaskScratch,
+        base: Reg,
+        off: Word,
+        rs: Reg,
+        sub_lo: usize,
+        n: usize,
+    ) -> Result<(), Escape> {
+        let shared = self.shared()?;
+        let flow = self.ctx.flow;
+        s.a.clear();
+        s.b.clear();
+        if !flow.regs.value(base).piece_runs(sub_lo, n, &mut s.a)
+            || !flow.regs.value(rs).piece_runs(sub_lo, n, &mut s.b)
+        {
+            return Err(Escape::Plain);
+        }
+        if s.a.len().max(s.b.len()) > MASK_RUN_BUDGET {
+            return Err(Escape::Budget);
+        }
+        let stored = each_piece_pair(&s.a, &s.b, |start, m, (ab, astride), (vbase, vstride)| {
+            let Some(at) = strided_addr(shared, ab, off, astride, m) else {
+                return false;
+            };
+            let op = MemOp::StridedWrite {
+                base: at.0,
                 stride: astride,
                 count: m as u32,
-                vbase: vb,
+                vbase,
                 vstride,
-            },
-        ));
-        true
-    });
-    if ok {
-        Ok(())
-    } else {
-        Err(MaskError::Lanes)
+            };
+            self.emit_bulk(sub_lo + start, m, at, None, op);
+            true
+        });
+        stored.then_some(()).ok_or(Escape::Plain)
+    }
+
+    /// `st` (`cond == None`) and `stmasked`.
+    fn st(
+        &mut self,
+        s: &mut MaskScratch,
+        cond: Option<Reg>,
+        rs: Reg,
+        base: Reg,
+        off: Word,
+    ) -> Closed {
+        self.shared()?;
+        let (lo, len) = (self.lo, self.len);
+        // Resolve the store mask. `St` and a uniformly-selected
+        // `StMasked` store every lane; a divergent `StMasked` condition
+        // classifies into truthiness runs so the write splits at run
+        // boundaries instead of materializing lanes.
+        let mut masked = false;
+        if let Some(cond) = cond {
+            match self.affine_reg(cond) {
+                // Uniformly masked out: every lane still burns its issue
+                // slot as a compute unit.
+                Some((0, 0)) => {
+                    self.compute_run(lo, len);
+                    return Ok(false);
+                }
+                Some((_, 0)) => {} // uniformly selected: plain store
+                _ => {
+                    let cv = self.ctx.flow.regs.value(cond);
+                    s.mask.rebuild(cv, lo, len, MASK_RUN_BUDGET)?;
+                    masked = true;
+                }
+            }
+        }
+        let emitted = |cf: &Self| cf.bulk.as_ref().map_or(0, |b| b.1.refs.len());
+        let refs0 = emitted(self);
+        if !masked {
+            self.strided_store(s, base, off, rs, lo, len)?;
+            // A single strided ref is the pre-mask fast path; more than
+            // one means a piecewise operand stayed closed-form.
+            return Ok(emitted(self) - refs0 > 1);
+        }
+        // Emitting runs in lane order — set runs become strided writes,
+        // clear runs burn their issue slots as compute units — expands to
+        // exactly the per-lane sequence.
+        let mask = std::mem::take(&mut s.mask);
+        let mut res = Ok(true);
+        for run in mask.runs() {
+            if !run.set {
+                self.compute_run(lo + run.start, run.len);
+                continue;
+            }
+            if let Err(e) = self.strided_store(s, base, off, rs, lo + run.start, run.len) {
+                res = Err(e.max(Escape::Miss));
+                break;
+            }
+            if emitted(self) - refs0 > MASK_RUN_BUDGET {
+                res = Err(Escape::Budget);
+                break;
+            }
+        }
+        s.mask = mask;
+        res
+    }
+
+    /// `multiop` (`rd == None`) and `multiprefix`: one [`MemOp::BulkMulti`]
+    /// per sub-run of the union split of the base and contribution
+    /// registers; the single-progression case is just a one-piece walk.
+    fn multi(
+        &mut self,
+        s: &mut MaskScratch,
+        kind: MultiKind,
+        rd: Option<Reg>,
+        base: Reg,
+        off: Word,
+        rs: Reg,
+    ) -> Closed {
+        let shared = self.shared()?;
+        let (flow, lo, len) = (self.ctx.flow, self.lo, self.len);
+        pieces(flow, Operand::Reg(base), lo, len, &mut s.a)?;
+        pieces(flow, Operand::Reg(rs), lo, len, &mut s.b)?;
+        if s.a.len().max(s.b.len()) > MASK_RUN_BUDGET {
+            return Err(Escape::Budget);
+        }
+        let piecewise = s.a.len() > 1 || s.b.len() > 1;
+        let ok = each_piece_pair(&s.a, &s.b, |start, m, (ab, astride), (vbase, vstride)| {
+            let at = if astride == 0 {
+                // Uniform base: every lane targets one word, and the
+                // per-lane wrap/clamp applies identically to each lane —
+                // no exactness guard needed, and the single module works
+                // under any map (node step 0).
+                (to_addr(ab.wrapping_add(off)), 0)
+            } else {
+                match strided_addr(shared, ab, off, astride, m) {
+                    Some(x) => x,
+                    None => return false,
+                }
+            };
+            let op = MemOp::BulkMulti {
+                kind,
+                prefix: rd.is_some(),
+                base: at.0,
+                astride,
+                count: m as u32,
+                vbase,
+                vstride,
+            };
+            self.emit_bulk(lo + start, m, at, rd, op);
+            true
+        });
+        match (ok, piecewise) {
+            (true, _) => Ok(piecewise),
+            (false, true) => Err(Escape::Miss),
+            (false, false) => Err(Escape::Plain),
+        }
     }
 }
 
@@ -538,21 +874,19 @@ fn emit_strided_store(
 /// the instruction reads is stride-compressed (uniform, affine or a
 /// segment run) over the slice's lanes, the per-lane loop collapses to
 /// O(#runs) affine algebra — run-length [`UnitSeq`] spans, an affine
-/// register-write log, and (for shared-memory traffic) strided bulk
-/// references. Divergence no longer forces a fallback: a non-uniform
-/// `Sel`/`StMasked` condition classifies into a run-length [`LaneMask`]
-/// and each run executes its branch closed-form, while operands whose
-/// range straddles `Segments` boundaries split at the union of their run
-/// boundaries ([`each_piece_pair`]) — so comparisons over compressed
-/// operands produce masks (segment runs) instead of decaying. Returns
-/// `false` to fall back to the per-lane loop only when the algebra
-/// genuinely escapes (per-thread operands, guarded comparisons out of
-/// exact range, wrapping/clamping addresses, hashed module maps on
-/// strided targets, local memory) or when the run count exceeds
-/// [`MASK_RUN_BUDGET`] (the `decay_mask_runs` taxonomy reason, flagged on
-/// `out.mask_decay`). Multioperations and multiprefixes with piecewise
-/// base and contribution operands compress to one [`MemOp::BulkMulti`]
-/// reference per sub-run.
+/// register-write log, and (for shared-memory traffic on a
+/// reference-collecting port) strided bulk references. Divergence does not
+/// force a fallback: a non-uniform `Sel`/`StMasked` condition classifies
+/// into a run-length [`LaneMask`] and each run executes its branch
+/// closed-form, while operands whose range straddles `Segments` boundaries
+/// split at the union of their run boundaries ([`each_piece_pair`]) — so
+/// comparisons over compressed operands produce masks (segment runs)
+/// instead of decaying. Returns `false` to fall back to the per-lane rungs
+/// only when the algebra genuinely escapes (per-thread operands, guarded
+/// comparisons out of exact range, wrapping/clamping addresses, hashed
+/// module maps on strided targets, local memory, a direct port) or when
+/// the run count exceeds [`MASK_RUN_BUDGET`]; the [`Escape`] says which,
+/// and everything the attempt emitted is unwound.
 ///
 /// Bit-identity with the per-lane path holds by construction: ALU folding
 /// goes through [`affine_alu`] (exact mod 2^64; comparisons only when
@@ -562,721 +896,162 @@ fn emit_strided_store(
 /// sequence expands to exactly the per-lane sequence in lane order.
 ///
 /// [`LaneMask`]: crate::thick::LaneMask
-/// [`MASK_RUN_BUDGET`]: crate::thick::MASK_RUN_BUDGET
-fn exec_thick_compressed(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut MaskScratch) -> bool {
-    use tcf_isa::instr::{MemSpace, Operand};
-    use tcf_isa::reg::SpecialReg;
-    use tcf_mem::{MemOp, RefOrigin};
-
-    let flow = ctx.flow;
-    let fid = flow.id;
-    let lo = out.range.start;
-    let len = out.range.len();
+fn exec_thick_compressed(
+    ctx: &ThickCtx<'_>,
+    bulk: Option<(&SharedMemory, &mut StepSink)>,
+    out: &mut FragOut,
+    scratch: &mut MaskScratch,
+) -> bool {
+    let (lo, len) = (out.range.start, out.range.len());
     if len == 0 {
+        out.compressed = true;
         return true;
     }
-    let affine_reg = |r: Reg| flow.regs.value(r).affine_over(lo, len);
-    let affine_opnd = |o: Operand| match o {
-        Operand::Reg(r) => affine_reg(r),
-        Operand::Imm(w) => Some((w, 0)),
+    let flow = ctx.flow;
+    let marks = (out.units.len(), out.reg_affine.len());
+    let sink_marks = bulk.as_ref().map(|(_, s)| (s.refs.len(), s.wbs.len()));
+    let mut cf = ClosedForm {
+        ctx,
+        out,
+        bulk,
+        lo,
+        len,
     };
-    let compute_run = UnitSeq::ComputeRun {
-        flow: fid,
-        thread0: lo,
-        count: len,
-    };
-    match ctx.instr {
-        DecodedInst::Alu { op, rd, ra, rb } => {
-            // Single-run fast path: both operands are one progression over
-            // the whole slice.
-            if let (Some(a), Some(b)) = (affine_reg(ra), affine_opnd(rb)) {
-                let runs = match affine_alu(op, a, b, len) {
-                    Some(r) => r,
-                    None => return false,
-                };
-                let mut base = lo;
-                for s in runs.runs() {
-                    out.reg_affine
-                        .push((rd, base, s.len as usize, s.base, s.stride));
-                    base += s.len as usize;
-                }
-                out.units.push(compute_run);
-                return true;
-            }
-            // Piecewise path: split at the union of both operands' run
-            // boundaries and fold each sub-run. This keeps comparison
-            // results over `Segments` operands compressed — they become
-            // runs (masks) instead of decaying to lanes.
-            scratch.a.clear();
-            scratch.b.clear();
-            if !flow.regs.value(ra).piece_runs(lo, len, &mut scratch.a) {
-                out.mask_miss = true;
-                return false;
-            }
-            let ok = match rb {
-                Operand::Reg(r) => flow.regs.value(r).piece_runs(lo, len, &mut scratch.b),
-                Operand::Imm(w) => {
-                    scratch.b.push(Seg {
-                        len: len as u32,
-                        base: w,
-                        stride: 0,
-                    });
-                    true
-                }
-            };
-            if !ok {
-                out.mask_miss = true;
-                return false;
-            }
-            if scratch.a.len().max(scratch.b.len()) > MASK_RUN_BUDGET {
-                out.mask_decay = true;
-                out.mask_miss = true;
-                return false;
-            }
-            let marks = (
-                out.units.len(),
-                out.refs.len(),
-                out.wbs.len(),
-                out.reg_affine.len(),
-            );
-            let ok = each_piece_pair(&scratch.a, &scratch.b, |start, n, ar, br| {
-                let Some(runs) = affine_alu(op, ar, br, n) else {
-                    return false;
-                };
-                let mut base = lo + start;
-                for s in runs.runs() {
-                    out.reg_affine
-                        .push((rd, base, s.len as usize, s.base, s.stride));
-                    base += s.len as usize;
-                }
-                true
-            });
-            if !ok {
-                unwind(out, marks);
-                out.mask_miss = true;
-                return false;
-            }
-            out.mask_hit = true;
-            out.units.push(compute_run);
-            true
-        }
-        DecodedInst::Mfs { rd, sr } => {
-            // Thick classification admits only Tid/Gid here; both are
-            // the lane index plus a flow constant — affine, stride 1.
-            let base = match sr {
-                SpecialReg::Tid => (flow.tid_offset + lo) as Word,
-                SpecialReg::Gid => (flow.rank_base + lo) as Word,
-                _ => return false,
-            };
-            out.reg_affine.push((rd, lo, len, base, 1));
-            out.units.push(compute_run);
-            true
-        }
-        DecodedInst::Sel { rd, cond, rt, rf } => {
-            // Uniform condition over the slice: every lane takes the
-            // same branch, so the result is the chosen operand's run.
-            if let Some((c, 0)) = affine_reg(cond) {
-                let chosen = if c != 0 {
-                    affine_reg(rt)
-                } else {
-                    affine_opnd(rf)
-                };
-                if let Some((vb, vs)) = chosen {
-                    out.reg_affine.push((rd, lo, len, vb, vs));
-                    out.units.push(compute_run);
-                    return true;
-                }
-            }
-            // Masked path: classify the condition's truthiness into a
-            // run-length lane mask and let each run take its branch's
-            // pieces. A uniform condition with a piecewise chosen operand
-            // lands here too — the mask is then a single run.
-            match scratch
-                .mask
-                .rebuild(flow.regs.value(cond), lo, len, MASK_RUN_BUDGET)
-            {
-                Ok(()) => {}
-                Err(MaskError::Budget) => {
-                    out.mask_decay = true;
-                    out.mask_miss = true;
-                    return false;
-                }
-                Err(MaskError::Lanes) => {
-                    out.mask_miss = true;
-                    return false;
-                }
-            }
-            let marks = (
-                out.units.len(),
-                out.refs.len(),
-                out.wbs.len(),
-                out.reg_affine.len(),
-            );
-            let mut emitted = 0usize;
-            for run in scratch.mask.runs() {
-                scratch.a.clear();
-                let ok = if run.set {
-                    flow.regs
-                        .value(rt)
-                        .piece_runs(lo + run.start, run.len, &mut scratch.a)
-                } else {
-                    match rf {
-                        Operand::Reg(r) => {
-                            flow.regs
-                                .value(r)
-                                .piece_runs(lo + run.start, run.len, &mut scratch.a)
-                        }
-                        Operand::Imm(w) => {
-                            scratch.a.push(Seg {
-                                len: run.len as u32,
-                                base: w,
-                                stride: 0,
-                            });
-                            true
-                        }
-                    }
-                };
-                if !ok {
-                    unwind(out, marks);
-                    out.mask_miss = true;
-                    return false;
-                }
-                emitted += scratch.a.len();
-                if emitted > MASK_RUN_BUDGET {
-                    unwind(out, marks);
-                    out.mask_decay = true;
-                    out.mask_miss = true;
-                    return false;
-                }
-                let mut base = lo + run.start;
-                for s in &scratch.a {
-                    out.reg_affine
-                        .push((rd, base, s.len as usize, s.base, s.stride));
-                    base += s.len as usize;
-                }
-            }
-            out.mask_hit = true;
-            out.units.push(compute_run);
-            true
-        }
+    let closed = match ctx.instr {
+        DecodedInst::Alu { op, rd, ra, rb } => cf.alu(scratch, op, rd, ra, rb),
+        DecodedInst::Ldi { rd, imm } => cf.whole(rd, (imm, 0)),
+        // Every special register is the lane index times a flow constant
+        // plus a flow constant.
+        DecodedInst::Mfs { rd, sr } => cf.whole(
+            rd,
+            (
+                special_value(flow, lo, sr, ctx.config),
+                special_stride(flow, sr),
+            ),
+        ),
+        DecodedInst::Sel { rd, cond, rt, rf } => cf.sel(scratch, rd, cond, rt, rf),
         DecodedInst::Ld {
             rd,
             base,
             off,
             space: MemSpace::Shared,
-        } => {
-            if let Some((ab, astride)) = affine_reg(base) {
-                let (a0, node_step) = match strided_addr(ctx, ab, off, astride, len) {
-                    Some(x) => x,
-                    None => return false,
-                };
-                out.units.push(UnitSeq::SharedRun {
-                    flow: fid,
-                    thread0: lo,
-                    count: len,
-                    node0: ctx.shared.module_of(a0),
-                    node_step,
-                    nodes: ctx.shared.modules(),
-                });
-                out.wbs.push((
-                    rd,
-                    WbTarget::Lanes {
-                        base: lo,
-                        count: len,
-                    },
-                    out.refs.len(),
-                ));
-                out.refs.push(MemRef::new(
-                    RefOrigin::new(ctx.group, flow.rank_base + lo),
-                    MemOp::StridedRead {
-                        base: a0,
-                        stride: astride,
-                        count: len as u32,
-                    },
-                ));
-                return true;
-            }
-            // Piecewise base: one strided read per address-progression
-            // run, each with its own lane-window writeback — the replies
-            // still land closed-form via `BulkView`.
-            scratch.a.clear();
-            if !flow.regs.value(base).piece_runs(lo, len, &mut scratch.a) {
-                out.mask_miss = true;
-                return false;
-            }
-            if scratch.a.len() > MASK_RUN_BUDGET {
-                out.mask_decay = true;
-                out.mask_miss = true;
-                return false;
-            }
-            let marks = (
-                out.units.len(),
-                out.refs.len(),
-                out.wbs.len(),
-                out.reg_affine.len(),
-            );
-            let mut at = lo;
-            for s in &scratch.a {
-                let m = s.len as usize;
-                let Some((a0, node_step)) = strided_addr(ctx, s.base, off, s.stride, m) else {
-                    unwind(out, marks);
-                    out.mask_miss = true;
-                    return false;
-                };
-                out.units.push(UnitSeq::SharedRun {
-                    flow: fid,
-                    thread0: at,
-                    count: m,
-                    node0: ctx.shared.module_of(a0),
-                    node_step,
-                    nodes: ctx.shared.modules(),
-                });
-                out.wbs
-                    .push((rd, WbTarget::Lanes { base: at, count: m }, out.refs.len()));
-                out.refs.push(MemRef::new(
-                    RefOrigin::new(ctx.group, flow.rank_base + at),
-                    MemOp::StridedRead {
-                        base: a0,
-                        stride: s.stride,
-                        count: m as u32,
-                    },
-                ));
-                at += m;
-            }
-            out.mask_hit = true;
-            true
-        }
+        } => cf.ld(scratch, rd, base, off),
         DecodedInst::St {
             rs,
             base,
             off,
             space: MemSpace::Shared,
-        }
-        | DecodedInst::StMasked {
+        } => cf.st(scratch, None, rs, base, off),
+        DecodedInst::StMasked {
+            cond,
             rs,
             base,
             off,
             space: MemSpace::Shared,
-            ..
-        } => {
-            // Resolve the store mask. `St` and a uniformly-selected
-            // `StMasked` store every lane; a divergent `StMasked`
-            // condition classifies into truthiness runs so the write
-            // splits at run boundaries instead of materializing lanes.
-            let mut masked = false;
-            if let DecodedInst::StMasked { cond, .. } = ctx.instr {
-                match affine_reg(cond) {
-                    // Uniformly masked out: every lane still burns its
-                    // issue slot as a compute unit.
-                    Some((0, 0)) => {
-                        out.units.push(compute_run);
-                        return true;
-                    }
-                    Some((_, 0)) => {} // uniformly selected: plain store
-                    _ => {
-                        match scratch
-                            .mask
-                            .rebuild(flow.regs.value(cond), lo, len, MASK_RUN_BUDGET)
-                        {
-                            Ok(()) => masked = true,
-                            Err(MaskError::Budget) => {
-                                out.mask_decay = true;
-                                out.mask_miss = true;
-                                return false;
-                            }
-                            Err(MaskError::Lanes) => {
-                                out.mask_miss = true;
-                                return false;
-                            }
-                        }
-                    }
-                }
-            }
-            let marks = (
-                out.units.len(),
-                out.refs.len(),
-                out.wbs.len(),
-                out.reg_affine.len(),
-            );
-            if masked {
-                // Emitting runs in lane order — set runs become strided
-                // writes, clear runs burn their issue slots as compute
-                // units — expands to exactly the per-lane sequence.
-                let mask = std::mem::take(&mut scratch.mask);
-                let mut res = Ok(());
-                for run in mask.runs() {
-                    if !run.set {
-                        out.units.push(UnitSeq::ComputeRun {
-                            flow: fid,
-                            thread0: lo + run.start,
-                            count: run.len,
-                        });
-                        continue;
-                    }
-                    res = emit_strided_store(
-                        ctx,
-                        out,
-                        &mut scratch.a,
-                        &mut scratch.b,
-                        base,
-                        off,
-                        rs,
-                        lo + run.start,
-                        run.len,
-                    );
-                    if res.is_err() {
-                        break;
-                    }
-                    if out.refs.len() - marks.1 > MASK_RUN_BUDGET {
-                        res = Err(MaskError::Budget);
-                        break;
-                    }
-                }
-                scratch.mask = mask;
-                match res {
-                    Ok(()) => {
-                        out.mask_hit = true;
-                        return true;
-                    }
-                    Err(e) => {
-                        unwind(out, marks);
-                        if matches!(e, MaskError::Budget) {
-                            out.mask_decay = true;
-                        }
-                        out.mask_miss = true;
-                        return false;
-                    }
-                }
-            }
-            match emit_strided_store(
-                ctx,
-                out,
-                &mut scratch.a,
-                &mut scratch.b,
-                base,
-                off,
-                rs,
-                lo,
-                len,
-            ) {
-                Ok(()) => {
-                    // A single strided ref is the pre-mask fast path; more
-                    // than one means a piecewise operand stayed closed-form.
-                    if out.refs.len() - marks.1 > 1 {
-                        out.mask_hit = true;
-                    }
-                    true
-                }
-                Err(e) => {
-                    unwind(out, marks);
-                    if matches!(e, MaskError::Budget) {
-                        out.mask_decay = true;
-                        out.mask_miss = true;
-                    }
-                    false
-                }
-            }
-        }
+        } => cf.st(scratch, Some(cond), rs, base, off),
         DecodedInst::MultiOp {
             kind,
             base,
             off,
             rs,
-        }
-        | DecodedInst::MultiPrefix {
+        } => cf.multi(scratch, kind, None, base, off, rs),
+        DecodedInst::MultiPrefix {
             kind,
+            rd,
             base,
             off,
             rs,
-            ..
-        } => {
-            use tcf_isa::word::to_addr;
-            let rd = match ctx.instr {
-                DecodedInst::MultiPrefix { rd, .. } => Some(rd),
-                _ => None,
-            };
-            // Gather both operands as run lists; the single-progression
-            // case is just a one-piece walk.
-            scratch.a.clear();
-            scratch.b.clear();
-            if !flow.regs.value(base).piece_runs(lo, len, &mut scratch.a)
-                || !flow.regs.value(rs).piece_runs(lo, len, &mut scratch.b)
-            {
-                out.mask_miss = true;
-                return false;
-            }
-            if scratch.a.len().max(scratch.b.len()) > MASK_RUN_BUDGET {
-                out.mask_decay = true;
-                out.mask_miss = true;
-                return false;
-            }
-            let piecewise = scratch.a.len() > 1 || scratch.b.len() > 1;
-            let marks = (
-                out.units.len(),
-                out.refs.len(),
-                out.wbs.len(),
-                out.reg_affine.len(),
-            );
-            let ok = each_piece_pair(
-                &scratch.a,
-                &scratch.b,
-                |start, m, (ab, astride), (vb, vstride)| {
-                    let (a0, node_step) = if astride == 0 {
-                        // Uniform base: every lane targets one word, and the
-                        // per-lane wrap/clamp applies identically to each lane —
-                        // no exactness guard needed, and the single module works
-                        // under any map (node step 0).
-                        (to_addr(ab.wrapping_add(off)), 0)
-                    } else {
-                        match strided_addr(ctx, ab, off, astride, m) {
-                            Some(x) => x,
-                            None => return false,
-                        }
-                    };
-                    out.units.push(UnitSeq::SharedRun {
-                        flow: fid,
-                        thread0: lo + start,
-                        count: m,
-                        node0: ctx.shared.module_of(a0),
-                        node_step,
-                        nodes: ctx.shared.modules(),
-                    });
-                    if let Some(rd) = rd {
-                        out.wbs.push((
-                            rd,
-                            WbTarget::Lanes {
-                                base: lo + start,
-                                count: m,
-                            },
-                            out.refs.len(),
-                        ));
-                    }
-                    out.refs.push(MemRef::new(
-                        RefOrigin::new(ctx.group, flow.rank_base + lo + start),
-                        MemOp::BulkMulti {
-                            kind,
-                            prefix: rd.is_some(),
-                            base: a0,
-                            astride,
-                            count: m as u32,
-                            vbase: vb,
-                            vstride,
-                        },
-                    ));
-                    true
-                },
-            );
-            if !ok {
-                unwind(out, marks);
-                if piecewise {
-                    out.mask_miss = true;
-                }
-                return false;
-            }
-            if piecewise {
-                out.mask_hit = true;
-            }
-            true
+        } => cf.multi(scratch, kind, Some(rd), base, off, rs),
+        _ => Err(Escape::Plain),
+    };
+    let ClosedForm { out, bulk, .. } = cf;
+    match closed {
+        Ok(masked) => {
+            out.compressed = true;
+            out.mask_hit = masked;
         }
-        _ => false,
+        // The per-lane rungs re-execute the whole slice: unwind what the
+        // attempt emitted before it escaped.
+        Err(escape) => {
+            out.units.truncate(marks.0);
+            out.reg_affine.truncate(marks.1);
+            if let (Some((_, sink)), Some((refs, wbs))) = (bulk, sink_marks) {
+                sink.refs.truncate(refs);
+                sink.wbs.truncate(wbs);
+            }
+            out.mask_miss = escape >= Escape::Miss;
+            out.mask_decay = escape == Escape::Budget;
+        }
     }
+    closed.is_ok()
 }
 
 /// Executes `out.range`'s lanes of `ctx.instr` against a read-only
-/// register view, logging register writes and applying local-memory
-/// traffic to `local` (with an undo log). Stops at the first fault.
+/// register view, logging register writes into `out` and sending memory
+/// traffic through `port`. Stops at the first fault.
 ///
-/// Both engines run thick lanes through here; the lane semantics live in
-/// exactly one place. Stride-compressed operands short-circuit into
-/// [`exec_thick_compressed`] — and because a slice's bounds derive only
-/// from the fragments and the variant bound, both engines make the same
-/// compressed-or-per-lane decision for every slice.
-pub(crate) fn exec_thick_lanes(ctx: &ThickCtx<'_>, local: &mut LocalMemory, out: &mut FragOut) {
-    use tcf_isa::instr::{MemSpace, Operand};
-    use tcf_isa::word::to_addr;
-    use tcf_mem::{MemOp, RefOrigin};
-
-    use crate::error::TcfFault;
-    use crate::machine::special_value;
-
-    // The scratch is swapped out of `out` so the executors can borrow the
+/// Every engine and variant runs thick lanes through here — a ladder of
+/// three rungs, each bit-identical to the one below it: the closed-form
+/// evaluator ([`exec_thick_compressed`]), the structure-of-arrays kernels
+/// for what is left of pure compute ([`exec_thick_vector`]), and the
+/// scalar [`lane`] loop. Because a slice's bounds derive only from the
+/// fragments and the variant's window, both engines make the same rung
+/// decision for every slice.
+pub(crate) fn exec_thick_lanes<P: MemPort>(ctx: &ThickCtx<'_>, port: &mut P, out: &mut FragOut) {
+    // The scratch is swapped out of `out` so the rungs can borrow the
     // fragment output mutably while reusing the pooled mask/run buffers.
     let mut scratch = std::mem::take(&mut out.scratch);
-    let compressed = exec_thick_compressed(ctx, out, &mut scratch);
-    if compressed {
-        out.scratch = scratch;
-        out.compressed = true;
-        return;
-    }
-    let vector = exec_thick_vector(ctx, out, &mut scratch);
+    let done = exec_thick_compressed(ctx, port.bulk(), out, &mut scratch)
+        || exec_thick_vector(ctx, out, &mut scratch);
     out.scratch = scratch;
-    if vector {
+    if done {
         return;
     }
-
-    let flow = ctx.flow;
-    let group = ctx.group;
-    let fid = flow.id;
-    let fault = |out: &mut FragOut, f: TcfFault| {
-        out.fault = Some(TcfError {
-            fault: f,
-            step: ctx.step,
-            flow: Some(fid),
-        });
-    };
-
     for e in out.range.clone() {
-        let origin = RefOrigin::new(group, flow.rank_base + e);
-        match ctx.instr {
-            DecodedInst::Alu { op, rd, ra, rb } => {
-                let a = flow.regs.read(ra, e);
-                let b = match rb {
-                    Operand::Reg(r) => flow.regs.read(r, e),
-                    Operand::Imm(w) => w,
-                };
-                out.log_reg(rd, e, op.eval(a, b));
-                out.units.push(IssueUnit::compute(fid, e).into());
-            }
-            DecodedInst::Mfs { rd, sr } => {
-                let v = special_value(flow, e, sr, ctx.config);
-                out.log_reg(rd, e, v);
-                out.units.push(IssueUnit::compute(fid, e).into());
-            }
-            DecodedInst::Sel { rd, cond, rt, rf } => {
-                let v = if flow.regs.read(cond, e) != 0 {
-                    flow.regs.read(rt, e)
-                } else {
-                    match rf {
-                        Operand::Reg(r) => flow.regs.read(r, e),
-                        Operand::Imm(w) => w,
-                    }
-                };
-                out.log_reg(rd, e, v);
-                out.units.push(IssueUnit::compute(fid, e).into());
-            }
-            DecodedInst::Ld {
-                rd,
-                base,
-                off,
-                space,
-            } => {
-                let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                match space {
-                    MemSpace::Shared => {
-                        out.units
-                            .push(IssueUnit::shared_mem(fid, e, ctx.shared.module_of(addr)).into());
-                        out.wbs.push((rd, WbTarget::Lane(e), out.refs.len()));
-                        out.refs.push(MemRef::new(origin, MemOp::Read(addr)));
-                    }
-                    MemSpace::Local => {
-                        out.units.push(IssueUnit::local_mem(fid, e).into());
-                        match local.read(addr) {
-                            Ok(v) => out.log_reg(rd, e, v),
-                            Err(err) => return fault(out, err.into()),
-                        }
-                    }
+        match lane(ctx.instr, ctx.flow, e, ctx.config, port) {
+            Ok((unit, write)) => {
+                if let Some((rd, v)) = write {
+                    out.log_reg(rd, e, v);
                 }
+                out.units.push(unit.into());
             }
-            DecodedInst::St {
-                rs,
-                base,
-                off,
-                space,
-            } => {
-                let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                let v = flow.regs.read(rs, e);
-                match space {
-                    MemSpace::Shared => {
-                        out.units
-                            .push(IssueUnit::shared_mem(fid, e, ctx.shared.module_of(addr)).into());
-                        out.refs.push(MemRef::new(origin, MemOp::Write(addr, v)));
-                    }
-                    MemSpace::Local => {
-                        out.units.push(IssueUnit::local_mem(fid, e).into());
-                        if let Ok(old) = local.read(addr) {
-                            out.local_undo.push((addr, old));
-                        }
-                        if let Err(err) = local.write(addr, v) {
-                            return fault(out, err.into());
-                        }
-                    }
-                }
-            }
-            DecodedInst::StMasked {
-                cond,
-                rs,
-                base,
-                off,
-                space,
-            } => {
-                let selected = flow.regs.read(cond, e) != 0;
-                let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                let v = flow.regs.read(rs, e);
-                if selected {
-                    match space {
-                        MemSpace::Shared => {
-                            out.units.push(
-                                IssueUnit::shared_mem(fid, e, ctx.shared.module_of(addr)).into(),
-                            );
-                            out.refs.push(MemRef::new(origin, MemOp::Write(addr, v)));
-                        }
-                        MemSpace::Local => {
-                            out.units.push(IssueUnit::local_mem(fid, e).into());
-                            if let Ok(old) = local.read(addr) {
-                                out.local_undo.push((addr, old));
-                            }
-                            if let Err(err) = local.write(addr, v) {
-                                return fault(out, err.into());
-                            }
-                        }
-                    }
-                } else {
-                    // The lane still occupies its slot (vector-style
-                    // masked execution).
-                    out.units.push(IssueUnit::compute(fid, e).into());
-                }
-            }
-            DecodedInst::MultiOp {
-                kind,
-                base,
-                off,
-                rs,
-            } => {
-                let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                let v = flow.regs.read(rs, e);
-                out.units
-                    .push(IssueUnit::shared_mem(fid, e, ctx.shared.module_of(addr)).into());
-                out.refs
-                    .push(MemRef::new(origin, MemOp::Multi(kind, addr, v)));
-            }
-            DecodedInst::MultiPrefix {
-                kind,
-                rd,
-                base,
-                off,
-                rs,
-            } => {
-                let addr = to_addr(flow.regs.read(base, e).wrapping_add(off));
-                let v = flow.regs.read(rs, e);
-                out.units
-                    .push(IssueUnit::shared_mem(fid, e, ctx.shared.module_of(addr)).into());
-                out.wbs.push((rd, WbTarget::Lane(e), out.refs.len()));
-                out.refs
-                    .push(MemRef::new(origin, MemOp::Prefix(kind, addr, v)));
-            }
-            other => {
-                return fault(
-                    out,
-                    TcfFault::Internal {
-                        what: format!("`{}` classified as thick", other.name()),
-                    },
-                )
+            Err(fault) => {
+                out.fault = Some(TcfError {
+                    fault,
+                    step: ctx.step,
+                    flow: Some(ctx.flow.id),
+                });
+                return;
             }
         }
     }
 }
 
-/// Vectorized per-lane fallback for the pure compute instructions (`Alu`,
+/// [`exec_thick_lanes`] under the PRAM step discipline: shared references
+/// and write-backs collect in `out.mem`, local traffic applies to the
+/// fragment group's own `local` (which no other fragment of the
+/// instruction can touch) with an undo log.
+fn exec_thick_step(
+    ctx: &ThickCtx<'_>,
+    shared: &SharedMemory,
+    local: &mut LocalMemory,
+    out: &mut FragOut,
+) {
+    let mut sink = std::mem::take(&mut out.mem);
+    let mut port = StepPort {
+        shared,
+        local,
+        sink: &mut sink,
+        flow: ctx.flow.id,
+        group: ctx.group,
+        rank_base: ctx.flow.rank_base,
+        flowwise: false,
+    };
+    exec_thick_lanes(ctx, &mut port, out);
+    out.mem = sink;
+}
+
+/// Vectorized per-lane rung for the pure compute instructions (`Alu`,
 /// `Sel`) once the compressed path has declined — the structure-of-arrays
 /// kernels of [`crate::lanes`]. Operands are gathered into the slice's
 /// pooled [`LanePlanes`] via [`ThickValue::fill_lanes`] (bit-identical to
@@ -1292,8 +1067,6 @@ pub(crate) fn exec_thick_lanes(ctx: &ThickCtx<'_>, local: &mut LocalMemory, out:
 ///
 /// [`ThickValue::fill_lanes`]: crate::thick::ThickValue::fill_lanes
 fn exec_thick_vector(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut MaskScratch) -> bool {
-    use tcf_isa::instr::Operand;
-
     let flow = ctx.flow;
     let lo = out.range.start;
     let len = out.range.len();
@@ -1358,14 +1131,7 @@ fn exec_thick_vector(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut MaskSc
 /// precisely the union of the two runs' lanes in the same rank order, so
 /// semantics are untouched. Returns `false` (the caller appends normally)
 /// whenever anything does not line up.
-fn coalesce_bulk_multi(
-    refs: &mut [MemRef],
-    wbs: &mut [Writeback],
-    out: &FragOut,
-    flow: u32,
-) -> bool {
-    use tcf_mem::MemOp;
-
+fn coalesce_bulk_multi(refs: &mut [MemRef], wbs: &mut [Writeback], out: &StepSink) -> bool {
     if out.refs.len() != 1 {
         return false;
     }
@@ -1413,11 +1179,11 @@ fn coalesce_bulk_multi(
         if out.wbs.len() != 1 {
             return false;
         }
-        let (rd, target, ri) = out.wbs[0];
+        let new_wb = out.wbs[0];
         let WbTarget::Lanes {
             base: nwb,
             count: nwc,
-        } = target
+        } = new_wb.target
         else {
             return false;
         };
@@ -1431,9 +1197,9 @@ fn coalesce_bulk_multi(
         else {
             return false;
         };
-        if ri != 0
-            || wlast.flow != flow
-            || wlast.rd != rd
+        if new_wb.ref_idx != 0
+            || wlast.flow != new_wb.flow
+            || wlast.rd != new_wb.rd
             || wlast.ref_idx != refs.len() - 1
             || owb + owc != nwb
             || nwc != count as usize
@@ -1498,18 +1264,18 @@ impl TcfMachine {
         let shared = &self.shared;
         let config = &self.config;
         let locals = &mut self.locals;
+        let ctx = |group: usize| ThickCtx {
+            flow,
+            instr,
+            group,
+            config,
+            step,
+        };
         match pool {
             None => {
                 for out in outs.iter_mut() {
-                    let ctx = ThickCtx {
-                        flow,
-                        instr,
-                        group: out.frag.group,
-                        shared,
-                        config,
-                        step,
-                    };
-                    exec_thick_lanes(&ctx, &mut locals[out.frag.group], out);
+                    let g = out.frag.group;
+                    exec_thick_step(&ctx(g), shared, &mut locals[g], out);
                 }
             }
             Some(pool) => {
@@ -1520,19 +1286,12 @@ impl TcfMachine {
                 let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
                     Vec::with_capacity(slices.len());
                 for out in outs.iter_mut() {
-                    let local = lm[out.frag.group]
+                    let g = out.frag.group;
+                    let local = lm[g]
                         .take()
                         .expect("fragments of one flow have distinct groups");
                     tasks.push(Box::new(move || {
-                        let ctx = ThickCtx {
-                            flow,
-                            instr,
-                            group: out.frag.group,
-                            shared,
-                            config,
-                            step,
-                        };
-                        exec_thick_lanes(&ctx, local, out);
+                        exec_thick_step(&ctx(g), shared, local, out)
                     }));
                 }
                 pool.run(tasks);
@@ -1551,24 +1310,24 @@ impl TcfMachine {
         self.engine_counters.slices += outs.len() as u64;
         self.engine_counters.ensure_workers(workers);
         for (i, out) in outs.iter().enumerate() {
-            if out.compressed {
-                self.engine_counters.compressed_slices += 1;
-            } else {
-                self.engine_counters.per_lane_slices += 1;
-            }
-            if out.mask_hit {
-                self.engine_counters.mask_hits += 1;
-            }
-            if out.mask_miss {
-                self.engine_counters.mask_misses += 1;
-            }
-            if out.mask_decay {
-                self.thick_decay.mask_runs += 1;
-            }
+            self.tally_slice(out);
             let w = i % workers;
             self.engine_counters.worker_lanes[w] += out.range.len() as u64;
             self.engine_counters.worker_slices[w] += 1;
         }
+    }
+
+    /// Counts which rung of the thick ladder served one slice.
+    pub(crate) fn tally_slice(&mut self, out: &FragOut) {
+        let e = &mut self.engine_counters;
+        if out.compressed {
+            e.compressed_slices += 1;
+        } else {
+            e.per_lane_slices += 1;
+        }
+        e.mask_hits += out.mask_hit as u64;
+        e.mask_misses += out.mask_miss as u64;
+        self.thick_decay.mask_runs += out.mask_decay as u64;
     }
 
     /// Merges fragment outputs in fragment order: register-write replay,
@@ -1582,8 +1341,7 @@ impl TcfMachine {
         flow: &mut Flow,
         outs: &mut [FragOut],
         units: &mut [Vec<UnitSeq>],
-        refs: &mut Vec<MemRef>,
-        wbs: &mut Vec<Writeback>,
+        sink: &mut StepSink,
     ) -> Result<(), TcfError> {
         let t = flow.thickness;
         let cap = self.config.reg_cache_words;
@@ -1596,36 +1354,24 @@ impl TcfMachine {
         let mut fault: Option<TcfError> = None;
         for out in outs.iter_mut() {
             if fault.is_some() {
-                for &(addr, old) in out.local_undo.iter().rev() {
+                for &(addr, old) in out.mem.local_undo.iter().rev() {
                     self.locals[out.frag.group]
                         .write(addr, old)
                         .expect("undo targets a previously written address");
                 }
                 continue;
             }
-            // A slice logs register writes either per-lane (`reg_runs`)
-            // or compressed (`reg_affine`), never both, so replay order
-            // between the two logs is immaterial.
-            for (rd, base, range) in &out.reg_runs {
-                if flow
-                    .regs
-                    .write_lanes(*rd, *base, &out.reg_values[range.clone()], t)
-                {
-                    // A faulting fragment's replay writes only the
-                    // executed prefix — the fault frontier — so its decay
-                    // belongs to the `fault` reason (highest priority),
-                    // then `balanced_resume`, then the generic lane write.
-                    if out.fault.is_some() {
-                        self.thick_decay.fault += 1;
-                    } else if partial {
-                        self.thick_decay.balanced_resume += 1;
-                    } else {
-                        self.thick_decay.lane_write += 1;
-                    }
-                }
-            }
-            for &(rd, base, count, vbase, vstride) in &out.reg_affine {
-                flow.regs.write_affine(rd, base, count, vbase, vstride, t);
+            // A faulting fragment's replay writes only the executed
+            // prefix — the fault frontier — so its decay belongs to the
+            // `fault` reason (highest priority), then `balanced_resume`,
+            // then the generic lane write.
+            let decays = out.replay_regs(&mut flow.regs, t);
+            if out.fault.is_some() {
+                self.thick_decay.fault += decays;
+            } else if partial {
+                self.thick_decay.balanced_resume += decays;
+            } else {
+                self.thick_decay.lane_write += decays;
             }
             self.engine_counters.absorbed_events += out.obs.len() as u64;
             self.obs.absorb(&out.obs);
@@ -1633,27 +1379,23 @@ impl TcfMachine {
                 fault = out.fault.take();
                 continue;
             }
-            let base = refs.len();
+            let base = sink.refs.len();
             units[out.frag.group].extend_from_slice(&out.units);
             // Coalescing is only ever attempted for the compressed path's
             // single-BulkMulti shape; count its hit/miss rate there.
             let coalescable =
-                out.refs.len() == 1 && matches!(out.refs[0].op, tcf_mem::MemOp::BulkMulti { .. });
-            if coalesce_bulk_multi(refs, wbs, out, flow.id) {
+                out.mem.refs.len() == 1 && matches!(out.mem.refs[0].op, MemOp::BulkMulti { .. });
+            if coalesce_bulk_multi(&mut sink.refs, &mut sink.wbs, &out.mem) {
                 self.engine_counters.coalesce_hits += 1;
             } else {
                 if coalescable {
                     self.engine_counters.coalesce_misses += 1;
                 }
-                refs.extend_from_slice(&out.refs);
-                for &(rd, target, ri) in &out.wbs {
-                    wbs.push(Writeback {
-                        flow: flow.id,
-                        rd,
-                        target,
-                        ref_idx: base + ri,
-                    });
-                }
+                sink.refs.extend_from_slice(&out.mem.refs);
+                sink.wbs.extend(out.mem.wbs.iter().map(|wb| Writeback {
+                    ref_idx: base + wb.ref_idx,
+                    ..*wb
+                }));
             }
             // §3.3 operand storage: if this fragment's per-thread register
             // footprint exceeds the cached register file, the operands
@@ -1786,10 +1528,7 @@ mod tests {
 
     #[test]
     fn coalesce_bulk_multi_merges_exact_continuations() {
-        use crate::exec_sync::{WbTarget, Writeback};
-        use tcf_isa::instr::MultiKind;
         use tcf_isa::reg::r;
-        use tcf_mem::{MemOp, MemRef, RefOrigin};
 
         fn bm(rank: usize, count: u32, vbase: Word, prefix: bool) -> MemRef {
             MemRef::new(
@@ -1805,19 +1544,18 @@ mod tests {
                 },
             )
         }
-        fn cont(out: &mut FragOut, r: MemRef) {
-            out.refs.clear();
-            out.wbs.clear();
+        fn cont(out: &mut StepSink, r: MemRef) {
+            out.clear();
             out.refs.push(r);
         }
 
-        let mut out = FragOut::empty();
+        let mut out = StepSink::default();
         let mut no_wbs: Vec<Writeback> = Vec::new();
 
         // A rank- and value-exact continuation merges into one run.
         let mut refs = vec![bm(0, 256, 0, false)];
         cont(&mut out, bm(256, 256, 256, false));
-        assert!(coalesce_bulk_multi(&mut refs, &mut no_wbs, &out, 7));
+        assert!(coalesce_bulk_multi(&mut refs, &mut no_wbs, &out));
         assert_eq!(refs.len(), 1);
         let MemOp::BulkMulti { count, vbase, .. } = refs[0].op else {
             panic!("not a bulk multi");
@@ -1827,12 +1565,12 @@ mod tests {
         // A rank gap (not the next slice) refuses.
         let mut refs = vec![bm(0, 256, 0, false)];
         cont(&mut out, bm(300, 256, 256, false));
-        assert!(!coalesce_bulk_multi(&mut refs, &mut no_wbs, &out, 7));
+        assert!(!coalesce_bulk_multi(&mut refs, &mut no_wbs, &out));
 
         // A broken value progression refuses.
         let mut refs = vec![bm(0, 256, 0, false)];
         cont(&mut out, bm(256, 256, 999, false));
-        assert!(!coalesce_bulk_multi(&mut refs, &mut no_wbs, &out, 7));
+        assert!(!coalesce_bulk_multi(&mut refs, &mut no_wbs, &out));
 
         // Prefix runs merge their reply windows too.
         let mut refs = vec![bm(0, 256, 0, true)];
@@ -1846,15 +1584,16 @@ mod tests {
             ref_idx: 0,
         }];
         cont(&mut out, bm(256, 256, 256, true));
-        out.wbs.push((
-            r(2),
-            WbTarget::Lanes {
+        out.wbs.push(Writeback {
+            flow: 7,
+            rd: r(2),
+            target: WbTarget::Lanes {
                 base: 256,
                 count: 256,
             },
-            0,
-        ));
-        assert!(coalesce_bulk_multi(&mut refs, &mut wbs, &out, 7));
+            ref_idx: 0,
+        });
+        assert!(coalesce_bulk_multi(&mut refs, &mut wbs, &out));
         let MemOp::BulkMulti { count, .. } = refs[0].op else {
             panic!("not a bulk multi");
         };
@@ -1877,15 +1616,16 @@ mod tests {
             ref_idx: 0,
         }];
         cont(&mut out, bm(256, 256, 256, true));
-        out.wbs.push((
-            r(2),
-            WbTarget::Lanes {
+        out.wbs.push(Writeback {
+            flow: 7,
+            rd: r(2),
+            target: WbTarget::Lanes {
                 base: 256,
                 count: 256,
             },
-            0,
-        ));
-        assert!(!coalesce_bulk_multi(&mut refs, &mut wbs, &out, 7));
+            ref_idx: 0,
+        });
+        assert!(!coalesce_bulk_multi(&mut refs, &mut wbs, &out));
     }
 
     #[test]

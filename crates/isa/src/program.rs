@@ -153,9 +153,8 @@ impl Program {
                     out.push_str(&format!("{name}:\n"));
                 }
             }
-            // Render targets symbolically when a label exists for them.
             out.push_str("    ");
-            out.push_str(&self.render_instr(instr));
+            out.push_str(&render_instr(instr, &by_index));
             out.push('\n');
         }
         if let Some(names) = by_index.get(&self.instrs.len()) {
@@ -165,20 +164,22 @@ impl Program {
         }
         out
     }
+}
 
-    fn render_instr(&self, instr: &Instr) -> String {
-        let mut text = instr.to_string();
-        // Replace "@<idx>" occurrences by a label when one maps to the index;
-        // string-level replacement is fine because "@" only ever appears in
-        // rendered targets.
-        for (name, idx) in &self.labels {
-            let pat = format!("@{idx}");
-            if text.contains(&pat) {
-                text = text.replace(&pat, name);
-            }
-        }
-        text
+/// Renders `instr` with each resolved target that has a label shown by that
+/// label (the alphabetically first when several share the index), so the
+/// listing re-assembles to the same targets.
+fn render_instr(instr: &Instr, by_index: &BTreeMap<usize, Vec<&str>>) -> String {
+    if instr.targets().is_empty() {
+        return instr.to_string();
     }
+    let mut symbolic = instr.clone();
+    for t in symbolic.targets_mut() {
+        if let Some(names) = t.abs().and_then(|idx| by_index.get(&idx)) {
+            *t = Target::Label(names[0].to_string());
+        }
+    }
+    symbolic.to_string()
 }
 
 impl fmt::Display for Program {

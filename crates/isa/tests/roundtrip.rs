@@ -161,3 +161,29 @@ proptest! {
         prop_assert_eq!(p.entry, q.entry);
     }
 }
+
+/// A label index that is a decimal prefix of another (2 and 20–29) must not
+/// capture the longer one's references: with ≥ 40 labelled branch targets
+/// the listing re-assembles to exactly the same targets.
+#[test]
+fn listing_with_prefix_sharing_label_indices_roundtrips() {
+    let mut b = tcf_isa::ProgramBuilder::new();
+    let n = 48;
+    b.label("main");
+    b.jmp("body");
+    for i in 1..n {
+        b.label(format!("L{i}"));
+        b.nop();
+    }
+    b.halt();
+    b.label("body");
+    for i in 1..n {
+        b.bnez(Reg::new(1), format!("L{}", (i * 7) % (n - 1) + 1));
+    }
+    b.halt();
+    let p = b.build().expect("labels resolve");
+    assert!((1..n).all(|i| p.labels[&format!("L{i}")] == i));
+    let listing = p.listing();
+    let q = assemble(&listing).unwrap_or_else(|e| panic!("reassembly failed: {e}\n{listing}"));
+    assert_eq!(p.instrs, q.instrs);
+}

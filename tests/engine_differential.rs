@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use tcf::core::{Engine, TcfError, TcfMachine, Variant};
-use tcf::isa::instr::{Instr, MemSpace, MultiKind, Operand};
+use tcf::isa::instr::{BrCond, Instr, MemSpace, MultiKind, Operand, Target};
 use tcf::isa::op::AluOp;
 use tcf::isa::program::Program;
 use tcf::isa::reg::{r, Reg, SpecialReg};
@@ -44,7 +44,16 @@ fn observe(
     engine: Engine,
     init: impl Fn(&mut TcfMachine),
 ) -> Observed {
-    let config = MachineConfig::small();
+    observe_on(MachineConfig::small(), variant, program, engine, init)
+}
+
+fn observe_on(
+    config: MachineConfig,
+    variant: Variant,
+    program: &Program,
+    engine: Engine,
+    init: impl Fn(&mut TcfMachine),
+) -> Observed {
     let groups = config.groups;
     let mut m = TcfMachine::new(config, variant, program.clone());
     m.set_engine(engine);
@@ -459,7 +468,110 @@ proptest! {
                 prop_assert_eq!(&reference, &par, "{:?} diverged under par:{}", variant, w);
             }
         }
+        // `MultiInstruction`: a spawn executed as compressed blocks must
+        // be indistinguishable from the same spawn executed thread by
+        // thread — memories, steps, cycles and every pipeline statistic
+        // except the fetch count, which is what sharing a pc saves. The
+        // quantum is made wide enough that no block splits at a budget
+        // boundary: split tails get fresh flow ids, so after a second
+        // split the rotation (id order) leaves lane order, which the
+        // per-thread rotation never does.
+        let mut wide = MachineConfig::small();
+        wide.threads_per_group = 1 << 12;
+        for n in [40usize, 100] {
+            let program = spawn_task(n, &preset);
+            let run = |shatter: Word| {
+                let mut o = observe_on(
+                    wide.clone(),
+                    Variant::MultiInstruction,
+                    &program,
+                    Engine::Sequential,
+                    |m| m.poke(SHATTER_FLAG, shatter).unwrap(),
+                );
+                o.shared[SHATTER_FLAG] = 0;
+                if let Ok(s) = &mut o.outcome {
+                    s.machine.fetches = 0;
+                }
+                o
+            };
+            let (blocks, units) = (run(0), run(1));
+            prop_assert_eq!(&blocks.outcome, &units.outcome, "spawn {}: outcome diverged", n);
+            prop_assert_eq!(&blocks.shared, &units.shared, "spawn {}: shared diverged", n);
+            prop_assert_eq!(&blocks.locals, &units.locals, "spawn {}: locals diverged", n);
+            // ... and the flag did change how the spawn executed (fetch and
+            // slice counts are in the metrics).
+            prop_assert!(blocks.metrics != units.metrics, "spawn {}: never shattered", n);
+        }
     }
+}
+
+/// Word the spawned task of [`spawn_task`] reads its shatter flag from
+/// (above everything the segments address).
+const SHATTER_FLAG: usize = SHARED_WINDOW - 1;
+
+/// `spawn n` of a task running `segments`, under `MultiInstruction`. The
+/// task opens with a branch to the next instruction on
+/// `((tid / groups) & 1) * mem[SHATTER_FLAG]`: with the flag 0 the operand
+/// is uniform and the spawn's blocks stay blocks; with the flag 1 it
+/// alternates lane by lane, so the same instruction stream splits every
+/// block into unit flows — per-thread XMT execution.
+fn spawn_task(n: usize, segments: &[Segment]) -> Program {
+    let (alt, flag) = (r(8), r(9));
+    let mut task = vec![
+        Instr::Mfs {
+            rd: alt,
+            sr: SpecialReg::Tid,
+        },
+        Instr::Alu {
+            op: AluOp::Div,
+            rd: alt,
+            ra: alt,
+            rb: Operand::Imm(MachineConfig::small().groups as Word),
+        },
+        Instr::Alu {
+            op: AluOp::And,
+            rd: alt,
+            ra: alt,
+            rb: Operand::Imm(1),
+        },
+        Instr::Ld {
+            rd: flag,
+            base: Reg::ZERO,
+            off: SHATTER_FLAG as Word,
+            space: MemSpace::Shared,
+        },
+        Instr::Alu {
+            op: AluOp::Mul,
+            rd: alt,
+            ra: alt,
+            rb: Operand::Reg(flag),
+        },
+    ];
+    let body = lower(segments);
+    // spawn, halt, the prologue above, its branch, the body, sjoin.
+    let entry = 2;
+    let after_branch = entry + task.len() + 1;
+    task.push(Instr::Br {
+        cond: BrCond::Nez,
+        rs: alt,
+        target: Target::Abs(after_branch),
+    });
+    let mut instrs = vec![
+        Instr::Spawn {
+            count: Operand::Imm(n as Word),
+            target: Target::Abs(entry),
+        },
+        Instr::Halt,
+    ];
+    instrs.extend(task);
+    instrs.extend(
+        body.instrs
+            .iter()
+            .filter(|i| !matches!(i, Instr::Halt))
+            .cloned(),
+    );
+    instrs.push(Instr::SJoin);
+    Program::new(instrs, Default::default(), vec![]).unwrap()
 }
 
 // ---------------------------------------------------------------------------

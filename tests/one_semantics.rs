@@ -1,0 +1,127 @@
+//! One meaning per instruction, whatever schedules it: a straight-line
+//! body using all nine data instructions at thickness 1 must leave the
+//! same registers, shared memory and local memory when it runs flow-wise
+//! on each synchronous variant, as a NUMA stream (`numa 1 … endnuma`),
+//! as a spawned Multi-instruction thread (`spawn 1 … sjoin`), and on the
+//! independent baseline machine (`tcf-pram`).
+
+use tcf::core::{TcfMachine, Variant};
+use tcf::isa::instr::MultiKind;
+use tcf::isa::op::AluOp;
+use tcf::isa::program::Program;
+use tcf::isa::reg::{r, SpecialReg};
+use tcf::isa::word::Word;
+use tcf::isa::ProgramBuilder;
+use tcf::machine::MachineConfig;
+use tcf::pram::PramMachine;
+
+const SHARED: std::ops::Range<usize> = 300..308;
+const LOCAL: usize = 5;
+const REGS: std::ops::RangeInclusive<u8> = 2..=11;
+
+/// `ldi, mfs, alu (reg and imm), sel (both ways), st/ld shared, st/ld
+/// local, stmasked (selected and masked out), multiop, multiprefix`.
+fn body(b: &mut ProgramBuilder) {
+    b.ldi(r(2), 7);
+    b.mfs(r(3), SpecialReg::NThreads);
+    b.alu(AluOp::Add, r(4), r(2), r(3));
+    b.alu(AluOp::Mul, r(4), r(4), 3);
+    b.sel(r(5), r(4), r(2), 99);
+    b.alu(AluOp::Sub, r(6), r(2), r(2));
+    b.sel(r(7), r(6), r(2), r(3));
+    b.st(r(4), r(0), 300);
+    b.ld(r(8), r(0), 300);
+    b.stl(r(8), r(0), LOCAL as Word);
+    b.ldl(r(9), r(0), LOCAL as Word);
+    b.stm(r(6), r(2), r(0), 301);
+    b.stm(r(2), r(3), r(0), 302);
+    b.multiop(MultiKind::Add, r(0), 300, r(2));
+    b.multiprefix(MultiKind::Max, r(10), r(0), 300, r(3));
+    b.ld(r(11), r(0), 300);
+    b.st(r(10), r(0), 303);
+}
+
+/// The body guarded so that only the thread of global rank 0 runs it (the
+/// thread-based variants and the baseline start `P × T_p` threads).
+fn guarded(wrap: impl Fn(&mut ProgramBuilder)) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mfs(r(1), SpecialReg::Gid);
+    b.bnez(r(1), "done");
+    wrap(&mut b);
+    b.label("done");
+    b.halt();
+    b.build().unwrap()
+}
+
+fn in_numa(b: &mut ProgramBuilder) {
+    b.numa(1);
+    body(b);
+    b.endnuma();
+}
+
+fn spawned() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.spawn(1, "task");
+    b.halt();
+    b.label("task");
+    body(&mut b);
+    b.sjoin();
+    b.build().unwrap()
+}
+
+/// `(registers, shared window, local word)` left by flow `flow`.
+fn run_core(variant: Variant, program: Program, flow: u32) -> (Vec<Word>, Vec<Word>, Word) {
+    let mut m = TcfMachine::new(MachineConfig::small(), variant, program);
+    m.run(10_000).unwrap_or_else(|e| panic!("{variant:?}: {e}"));
+    let f = m.flow(flow).expect("flow exists");
+    (
+        REGS.map(|k| f.regs.read(r(k), 0)).collect(),
+        m.peek_range(SHARED.start, SHARED.len()).unwrap(),
+        m.peek_local(0, LOCAL).unwrap(),
+    )
+}
+
+#[test]
+fn nine_data_instructions_mean_the_same_under_every_schedule() {
+    let mut pram = PramMachine::new(MachineConfig::small(), guarded(body));
+    pram.run(10_000).expect("baseline halts");
+    let reference = (
+        REGS.map(|k| pram.thread(0, 0).read_reg(r(k)))
+            .collect::<Vec<_>>(),
+        pram.peek_range(SHARED.start, SHARED.len()).unwrap(),
+        pram.peek_local(0, LOCAL).unwrap(),
+    );
+    // r4 = (7 + T_p) * 3; the prefix returns the word before its max.
+    let tp = MachineConfig::small().threads_per_group as Word;
+    let r4 = (7 + tp) * 3;
+    assert_eq!(reference.1[..4], [(r4 + 7).max(tp), 0, tp, r4 + 7]);
+    assert_eq!(reference.2, r4);
+
+    let synchronous = [
+        Variant::SingleInstruction,
+        Variant::Balanced { bound: 4 },
+        Variant::SingleOperation,
+        Variant::ConfigurableSingleOperation,
+        Variant::FixedThickness { width: 1 },
+    ];
+    for variant in synchronous {
+        assert_eq!(
+            run_core(variant, guarded(body), 0),
+            reference,
+            "{variant:?}, flow-wise"
+        );
+        if variant.supports_numa() {
+            assert_eq!(
+                run_core(variant, guarded(in_numa), 0),
+                reference,
+                "{variant:?}, NUMA stream"
+            );
+        }
+    }
+    // The spawned thread is flow 1 (the spawner is flow 0).
+    assert_eq!(
+        run_core(Variant::MultiInstruction, spawned(), 1),
+        reference,
+        "MultiInstruction, spawned thread"
+    );
+}
