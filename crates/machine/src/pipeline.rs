@@ -15,7 +15,8 @@
 //! references serialize, but against the *local* memory's one-cycle-ish
 //! latency rather than the network round trip.
 
-use tcf_net::Network;
+use tcf_net::{NetRun, Network};
+use tcf_obs::LatencyRun;
 
 use crate::stats::MachineStats;
 use crate::trace::{FlowTag, Trace, TraceEvent, UnitKind};
@@ -110,8 +111,8 @@ impl IssueUnit {
 /// the per-step timing cost of a `T`-thick compute instruction from
 /// `O(T)` into `O(1)`. Network-bound spans (`SharedRun`) targeting one
 /// module walk the router for message 0 and replay the rest in closed
-/// form; spans rotating across modules still walk the router per
-/// message, but skip the per-unit dispatch.
+/// form; spans rotating across modules make one fused
+/// [`Network::roundtrip`] per message, but skip the per-unit dispatch.
 ///
 /// Every span expands to exactly the unit sequence the uncompressed path
 /// would have produced; `run_step_seq` falls back to per-unit expansion
@@ -287,7 +288,7 @@ impl GroupPipeline {
         for u in units {
             self.issue_one(&mut st, u, width, serialize_mem, net, trace, stats);
         }
-        self.finish_step(st, start, units.is_empty(), units.len(), trace, stats)
+        self.finish_step(st, start, units.len(), net, trace, stats)
     }
 
     /// [`run_step`](GroupPipeline::run_step) over a run-length–compressed
@@ -300,7 +301,7 @@ impl GroupPipeline {
     /// shared-memory runs walk the router for message 0 only and replay
     /// the remaining messages in closed form
     /// ([`Network::replay_roundtrip_tail`]); runs that rotate across
-    /// modules still walk the router per message.
+    /// modules make one [`Network::roundtrip`] per message.
     pub fn run_step_seq(
         &self,
         start: u64,
@@ -380,11 +381,7 @@ impl GroupPipeline {
                             let u = s.unit_at(k);
                             self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
                         }
-                    } else if let (0, Some(fwd), Some(rev)) = (
-                        node_step,
-                        net.route_to(self.group, node0),
-                        net.route_to(node0, self.group),
-                    ) {
+                    } else if node_step == 0 {
                         // Every lane targets the same module (the
                         // bulk-multioperation shape): both routes repeat
                         // per message. Message 0 walks the router exactly;
@@ -395,16 +392,17 @@ impl GroupPipeline {
                         // collapses to closed-form occupancy shifts and
                         // cadence-ramp statistics — O(log T) per run
                         // instead of O(T).
-                        if st.issued_this_cycle >= width {
-                            st.t += 1;
-                            st.issued_this_cycle = 0;
-                        }
-                        st.issued_this_cycle += 1;
+                        let route = |from, to| {
+                            net.route_to(from, to)
+                                .expect("route_to never declines an in-range pair")
+                        };
+                        let (fwd, rev) = (route(self.group, node0), route(node0, self.group));
+                        st.begin_issue(width);
                         let s0 = st.t;
                         let arrive = net.send_on(&fwd, s0);
                         let served = net.service(node0, arrive, self.module_latency);
                         let back = net.send_on(&rev, served);
-                        stats.mem_roundtrip.record(back - s0);
+                        st.roundtrip.record(back - s0, &mut stats.mem_roundtrip);
                         let tail = (count - 1) as u64;
                         if tail > 0 {
                             let c = (st.issued_this_cycle - 1) as u64;
@@ -424,15 +422,8 @@ impl GroupPipeline {
                     } else {
                         let mut node = node0;
                         for _ in 0..count {
-                            if st.issued_this_cycle >= width {
-                                st.t += 1;
-                                st.issued_this_cycle = 0;
-                            }
-                            st.issued_this_cycle += 1;
-                            let arrive = net.send(self.group, node, st.t);
-                            let served = net.service(node, arrive, self.module_latency);
-                            let back = net.send(node, self.group, served);
-                            stats.mem_roundtrip.record(back - st.t);
+                            st.begin_issue(width);
+                            let back = self.shared_ref(&mut st, node, net, stats);
                             st.last_reply = st.last_reply.max(back);
                             node += node_step;
                             if node >= nodes {
@@ -444,7 +435,23 @@ impl GroupPipeline {
                 }
             }
         }
-        self.finish_step(st, start, issued_total == 0, issued_total, trace, stats)
+        self.finish_step(st, start, issued_total, net, trace, stats)
+    }
+
+    /// One shared-memory reference issued at `st.t`: the fused network
+    /// round trip to the module at `node` and its latency sample, both
+    /// into the step's run accumulators. Returns the reply cycle.
+    #[inline]
+    fn shared_ref(
+        &self,
+        st: &mut IssueState,
+        node: usize,
+        net: &mut Network,
+        stats: &mut MachineStats,
+    ) -> u64 {
+        let back = net.roundtrip(self.group, node, st.t, self.module_latency, &mut st.net);
+        st.roundtrip.record(back - st.t, &mut stats.mem_roundtrip);
+        back
     }
 
     /// The per-unit issue body shared by the expanded and compressed
@@ -461,10 +468,7 @@ impl GroupPipeline {
         trace: &mut Trace,
         stats: &mut MachineStats,
     ) {
-        if st.issued_this_cycle >= width {
-            st.t += 1;
-            st.issued_this_cycle = 0;
-        }
+        st.begin_issue(width);
         trace.push(TraceEvent {
             cycle: st.t,
             group: self.group,
@@ -473,7 +477,6 @@ impl GroupPipeline {
             kind: u.kind,
         });
         stats.count_unit(u.kind);
-        st.issued_this_cycle += 1;
         if u.kind == UnitKind::Bubble {
             return;
         }
@@ -481,11 +484,7 @@ impl GroupPipeline {
         let reply = match u.kind {
             UnitKind::MemShared => {
                 let node = u.mem_node.unwrap_or(self.group);
-                let arrive = net.send(self.group, node, st.t);
-                let served = net.service(node, arrive, self.module_latency);
-                let back = net.send(node, self.group, served);
-                stats.mem_roundtrip.record(back - st.t);
-                Some(back)
+                Some(self.shared_ref(st, node, net, stats))
             }
             UnitKind::MemLocal => Some(st.t + self.local_latency),
             _ => None,
@@ -502,24 +501,29 @@ impl GroupPipeline {
         }
     }
 
-    /// Step epilogue shared by both paths: final-cycle close-out, drain
-    /// bubbles, and the cycle-counter update.
+    /// Step epilogue shared by both paths: the run accumulators' fold
+    /// into the statistics, final-cycle close-out, drain bubbles, and the
+    /// cycle-counter update.
     fn finish_step(
         &self,
         mut st: IssueState,
         start: u64,
-        empty: bool,
         issued: usize,
+        net: &mut Network,
         trace: &mut Trace,
         stats: &mut MachineStats,
     ) -> StepOutcome {
+        // Both are no-ops for a step that made no shared reference.
+        net.absorb(st.net);
+        st.roundtrip.flush(&mut stats.mem_roundtrip);
+
         if st.issued_this_cycle > 0 {
             st.t += 1;
         }
 
         // The step ends when issue is done and every reply has returned.
         let mut end = st.t.max(st.last_reply);
-        if empty {
+        if issued == 0 {
             end = start + 1;
         }
         let drain = end - st.t.min(end);
@@ -550,12 +554,17 @@ impl GroupPipeline {
     }
 }
 
-/// Mutable issue-cadence state threaded through one `run_step`.
-#[derive(Debug, Clone, Copy)]
+/// Mutable state threaded through one `run_step`: the issue cadence, and
+/// the step's shared references' network counters and round-trip
+/// latencies, accumulated here and folded into `NetStats` /
+/// `MachineStats::mem_roundtrip` by `finish_step`.
+#[derive(Debug)]
 struct IssueState {
     t: u64,
     last_reply: u64,
     issued_this_cycle: usize,
+    net: NetRun,
+    roundtrip: LatencyRun,
 }
 
 impl IssueState {
@@ -564,7 +573,20 @@ impl IssueState {
             t: start,
             last_reply: start,
             issued_this_cycle: 0,
+            net: NetRun::default(),
+            roundtrip: LatencyRun::default(),
         }
+    }
+
+    /// Claims an issue slot for one unit: moves to the next cycle when
+    /// this one's `width` slots are taken.
+    #[inline]
+    fn begin_issue(&mut self, width: usize) {
+        if self.issued_this_cycle >= width {
+            self.t += 1;
+            self.issued_this_cycle = 0;
+        }
+        self.issued_this_cycle += 1;
     }
 
     /// Advances the cadence past `count` back-to-back non-blocking units
@@ -730,14 +752,33 @@ mod tests {
         assert_eq!(s.cycles, out2.end_cycle);
     }
 
-    /// Expands a compressed sequence and checks the compressed path gives
-    /// the same timing, statistics, network state, and trace as the
-    /// uncompressed one.
-    fn assert_seq_matches_expanded(seqs: &[UnitSeq], serialize: bool, ilp: usize, recording: bool) {
-        let expanded: Vec<IssueUnit> = seqs
-            .iter()
-            .flat_map(|s| (0..s.len()).map(move |k| s.unit_at(k)))
+    /// Every link's and every module's next-free cycle. (`service` at
+    /// cycle 0 with latency 0 returns the slot; the clone keeps the probe
+    /// from reserving it.)
+    fn occupancy(net: &Network) -> (Vec<u64>, Vec<u64>) {
+        let topology = net.topology();
+        let n = topology.nodes();
+        let links = (0..n)
+            .flat_map(|from| (0..n).map(move |to| (from, to)))
+            .filter(|&(from, to)| topology.distance(from, to) == 1)
+            .map(|(from, to)| net.link_busy_until(from, to))
             .collect();
+        let mut probe = net.clone();
+        let modules = (0..n).map(|node| probe.service(node, 0, 0)).collect();
+        (links, modules)
+    }
+
+    /// Expands each compressed step and checks the compressed path gives
+    /// the same timing, statistics, network state, and trace as the
+    /// uncompressed one. The steps run back to back on one network per
+    /// path, so later steps start against the earlier ones' occupancy.
+    fn assert_steps_match_expanded(
+        mk_net: fn() -> Network,
+        steps: &[&[UnitSeq]],
+        serialize: bool,
+        ilp: usize,
+        recording: bool,
+    ) -> Network {
         let p = GroupPipeline::with_ilp(0, 2, 1, ilp);
         let mk_trace = || {
             if recording {
@@ -746,18 +787,19 @@ mod tests {
                 Trace::disabled()
             }
         };
-
-        let mut n1 = net();
-        let mut t1 = mk_trace();
-        let mut s1 = MachineStats::default();
-        let out1 = p.run_step(7, &expanded, serialize, &mut n1, &mut t1, &mut s1);
-
-        let mut n2 = net();
-        let mut t2 = mk_trace();
-        let mut s2 = MachineStats::default();
-        let out2 = p.run_step_seq(7, seqs, serialize, &mut n2, &mut t2, &mut s2);
-
-        assert_eq!(out1, out2, "outcome diverged (serialize={serialize})");
+        let (mut n1, mut t1, mut s1) = (mk_net(), mk_trace(), MachineStats::default());
+        let (mut n2, mut t2, mut s2) = (mk_net(), mk_trace(), MachineStats::default());
+        let mut start = 7;
+        for seqs in steps {
+            let expanded: Vec<IssueUnit> = seqs
+                .iter()
+                .flat_map(|s| (0..s.len()).map(move |k| s.unit_at(k)))
+                .collect();
+            let out1 = p.run_step(start, &expanded, serialize, &mut n1, &mut t1, &mut s1);
+            let out2 = p.run_step_seq(start, seqs, serialize, &mut n2, &mut t2, &mut s2);
+            assert_eq!(out1, out2, "outcome diverged (serialize={serialize})");
+            start = out1.end_cycle;
+        }
         assert_eq!(s1, s2, "stats diverged (serialize={serialize})");
         // `route_sends` counts which send API delivered a message, not
         // what was delivered — the compressed path reuses route handles
@@ -768,7 +810,13 @@ mod tests {
         net1.route_sends = 0;
         net2.route_sends = 0;
         assert_eq!(net1, net2, "net stats diverged");
+        assert_eq!(occupancy(&n1), occupancy(&n2), "occupancy diverged");
         assert_eq!(t1.events(), t2.events(), "trace diverged");
+        n2
+    }
+
+    fn assert_seq_matches_expanded(seqs: &[UnitSeq], serialize: bool, ilp: usize, recording: bool) {
+        assert_steps_match_expanded(net, &[seqs], serialize, ilp, recording);
     }
 
     #[test]
@@ -935,6 +983,111 @@ mod tests {
             .run_step_seq(0, &seqs, false, &mut n, &mut t, &mut s);
         assert_eq!(out.cycles(), 4);
         assert_eq!(out.issued, 13);
+    }
+
+    /// One step with every shape the timing walk has: single shared
+    /// units and rotating runs (run accumulators), same-module runs
+    /// (whose `send_on`/`replay_roundtrip_tail` write `NetStats` directly
+    /// between the accumulated messages) and local runs.
+    fn mixed_step(nodes: usize, far: usize) -> Vec<UnitSeq> {
+        vec![
+            UnitSeq::One(IssueUnit::fetch(1)),
+            UnitSeq::One(IssueUnit::shared_mem(1, 0, far)),
+            UnitSeq::One(IssueUnit::shared_mem(1, 1, 0)),
+            UnitSeq::SharedRun {
+                flow: 1,
+                thread0: 2,
+                count: 3 * nodes + 5,
+                node0: 1,
+                node_step: 3 % nodes,
+                nodes,
+            },
+            UnitSeq::SharedRun {
+                flow: 1,
+                thread0: 0,
+                count: 40,
+                node0: far,
+                node_step: 0,
+                nodes,
+            },
+            UnitSeq::One(IssueUnit::shared_mem(1, 3, far)),
+            UnitSeq::LocalRun {
+                flow: 1,
+                thread0: 0,
+                count: 9,
+            },
+            UnitSeq::SharedRun {
+                flow: 2,
+                thread0: 0,
+                count: 17,
+                node0: nodes - 1,
+                node_step: 1,
+                nodes,
+            },
+            UnitSeq::ComputeRun {
+                flow: 2,
+                thread0: 0,
+                count: 6,
+            },
+            UnitSeq::SharedRun {
+                flow: 2,
+                thread0: 17,
+                count: 1,
+                node0: far,
+                node_step: 0,
+                nodes,
+            },
+            UnitSeq::One(IssueUnit::shared_mem(2, 18, 1)),
+        ]
+    }
+
+    #[test]
+    fn mixed_steps_match_expanded_units_on_mesh_and_long_ring() {
+        fn mesh() -> Network {
+            Network::new(
+                Topology::Mesh2D {
+                    width: 4,
+                    height: 4,
+                },
+                2,
+            )
+        }
+        fn long_ring() -> Network {
+            Network::new(Topology::Ring { nodes: 64 }, 1)
+        }
+        // A second, serialized-looking list: what a NUMA bunch issues.
+        let numa_list = [
+            UnitSeq::One(IssueUnit::fetch(3)),
+            UnitSeq::LocalRun {
+                flow: 3,
+                thread0: 0,
+                count: 12,
+            },
+            UnitSeq::One(IssueUnit::shared_mem(3, 0, 5)),
+            UnitSeq::One(IssueUnit::compute(3, 0)),
+        ];
+        for (mk_net, nodes, far) in [(mesh as fn() -> Network, 16, 15), (long_ring, 64, 32)] {
+            let step = mixed_step(nodes, far);
+            for serialize in [false, true] {
+                for ilp in [1, 4] {
+                    for recording in [false, true] {
+                        let after = assert_steps_match_expanded(
+                            mk_net,
+                            &[&step, &numa_list, &step],
+                            serialize,
+                            ilp,
+                            recording,
+                        );
+                        // The same-module runs took the closed form (on the
+                        // 32-hop ring route too) exactly when nothing
+                        // observed the individual units.
+                        let closed_form = !serialize && !recording;
+                        let expect = if closed_form { 2 * 2 * (40 + 1) } else { 0 };
+                        assert_eq!(after.stats().route_sends, expect);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

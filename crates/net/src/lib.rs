@@ -15,14 +15,22 @@
 //! * [`Network`] — a cycle-based router using link reservation: each hop
 //!   costs `hop_latency` cycles and each link carries one message per
 //!   cycle, so both *distance* (latency ∝ hops) and *congestion*
-//!   (serialization on shared links) emerge from the same mechanism,
+//!   (serialization on shared links) emerge from the same mechanism.
+//!   The topology is consulted once, in [`Network::new`], to fill a
+//!   first-hop table; every message afterwards — a single
+//!   [`send`](Network::send), a [`send_on`](Network::send_on) along a
+//!   [`Route`] handle, or the fused request–service–reply
+//!   [`roundtrip`](Network::roundtrip) of one shared-memory reference —
+//!   follows that table through one walk (see [`router`]),
 //! * [`NetStats`] — delivered messages, hop counts and observed queueing,
-//!   used by the benches that reproduce the paper's bandwidth discussion.
+//!   used by the benches that reproduce the paper's bandwidth discussion;
+//!   [`NetRun`] carries one loop's share of them until
+//!   [`Network::absorb`].
 
 pub mod router;
 pub mod stats;
 pub mod topology;
 
-pub use router::{Network, Route};
+pub use router::{NetRun, Network, Route};
 pub use stats::NetStats;
 pub use topology::Topology;

@@ -18,12 +18,14 @@ pub struct NetStats {
     pub max_queue_cycles: u64,
     /// Messages delivered to the sender's own node (distance 0).
     pub local_deliveries: usize,
-    /// Messages routed through a precomputed [`Route`] handle
-    /// ([`Network::send_on`]) instead of per-hop topology arithmetic —
-    /// the bulk-lane reuse the `net.route_sends` metric surfaces.
+    /// Messages routed along a [`Route`] handle ([`Network::send_on`],
+    /// [`Network::replay_roundtrip_tail`]): the messages of closed-form
+    /// same-module runs — the bulk-lane reuse the `net.route_sends`
+    /// metric surfaces.
     ///
     /// [`Route`]: crate::Route
     /// [`Network::send_on`]: crate::Network::send_on
+    /// [`Network::replay_roundtrip_tail`]: crate::Network::replay_roundtrip_tail
     pub route_sends: usize,
     /// Distribution of per-message queueing delays (routed messages only;
     /// local deliveries never queue).

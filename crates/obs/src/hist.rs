@@ -36,6 +36,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros(v)`.
+#[inline]
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
@@ -247,9 +248,172 @@ impl LatencyHistogram {
     }
 }
 
+/// A run of samples that fall into one bucket, held by the caller (small
+/// enough to stay in registers across a loop) and written into the
+/// [`LatencyHistogram`] when the bucket changes and once at the end.
+///
+/// Exactly equal to calling [`LatencyHistogram::record`] per sample:
+/// bucket counts and `count` are sums, `max` is a maximum, and the
+/// saturating unsigned `sum` gives `min(total, u64::MAX)` however the
+/// additions are grouped, so neither the grouping into runs nor the
+/// interleaving with direct `record`/`record_ramp` calls on the same
+/// histogram can be observed. Consecutive latencies of one step mostly
+/// share a log2 bucket, so a loop over messages pays four register
+/// updates per sample instead of four read-modify-writes of the
+/// histogram.
+///
+/// A run belongs to one histogram: pass the same one to every call, and
+/// [`flush`](LatencyRun::flush) before reading it.
+#[derive(Debug, Default)]
+pub struct LatencyRun {
+    bucket: usize,
+    pending: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl LatencyRun {
+    /// Records one sample bound for `into`.
+    #[inline]
+    pub fn record(&mut self, v: u64, into: &mut LatencyHistogram) {
+        let b = bucket_of(v);
+        if b != self.bucket {
+            self.flush(into);
+            self.bucket = b;
+        }
+        self.pending += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Writes the pending samples into `into`; a no-op when there are
+    /// none.
+    #[inline]
+    pub fn flush(&mut self, into: &mut LatencyHistogram) {
+        if self.pending > 0 {
+            into.buckets[self.bucket] += self.pending;
+            into.count += self.pending;
+            into.sum = into.sum.saturating_add(self.sum);
+            into.max = into.max.max(self.max);
+            self.pending = 0;
+            self.sum = 0;
+        }
+    }
+
+    /// Largest sample recorded through this run so far, flushed or not
+    /// (0 when none).
+    #[inline]
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Samples at every bucket edge: 0, each `2^k − 1` and `2^k`, and
+    /// `u64::MAX` (which saturates the sum).
+    fn edge_samples() -> Vec<u64> {
+        let mut v = vec![0, u64::MAX];
+        for k in 0..64 {
+            v.push(1u64 << k);
+            v.push((1u64 << k) - 1);
+        }
+        v
+    }
+
+    /// One step of a histogram's history: a sample through the run, a
+    /// sample recorded directly, or a direct cadence ramp.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Run(u64),
+        Direct(u64),
+        Ramp {
+            base: u64,
+            c: u64,
+            width: u64,
+            n: u64,
+        },
+    }
+
+    fn arb_sample() -> impl Strategy<Value = u64> {
+        prop_oneof![prop::sample::select(edge_samples()), 0u64..64, any::<u64>(),]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            arb_sample().prop_map(Op::Run),
+            arb_sample().prop_map(Op::Run),
+            arb_sample().prop_map(Op::Direct),
+            (0u64..5000, 1u64..5, 0u64..40).prop_map(|(base, width, n)| Op::Ramp {
+                base,
+                c: base % width,
+                width,
+                n,
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run accumulator cannot be told from per-sample `record`,
+        /// whatever is recorded directly into the same histogram between
+        /// its samples.
+        #[test]
+        fn run_accumulator_equals_per_sample_record(
+            ops in prop::collection::vec(arb_op(), 0..200),
+        ) {
+            let mut expect = LatencyHistogram::new();
+            let mut got = LatencyHistogram::new();
+            let mut run = LatencyRun::default();
+            let mut run_max = 0;
+            for op in &ops {
+                match *op {
+                    Op::Run(v) => {
+                        expect.record(v);
+                        run.record(v, &mut got);
+                        run_max = run_max.max(v);
+                    }
+                    Op::Direct(v) => {
+                        expect.record(v);
+                        got.record(v);
+                    }
+                    Op::Ramp { base, c, width, n } => {
+                        expect.record_ramp(base, c, width, 0, n);
+                        got.record_ramp(base, c, width, 0, n);
+                    }
+                }
+            }
+            run.flush(&mut got);
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(run.max(), run_max);
+            // A second flush has nothing left to write.
+            run.flush(&mut got);
+            prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn run_accumulator_walks_every_bucket_edge() {
+        let samples = edge_samples();
+        let mut expect = LatencyHistogram::new();
+        let mut got = LatencyHistogram::new();
+        let mut run = LatencyRun::default();
+        // Each edge twice in a row (a run of two), in both directions.
+        for &v in samples.iter().chain(samples.iter().rev()) {
+            for _ in 0..2 {
+                expect.record(v);
+                run.record(v, &mut got);
+            }
+        }
+        run.flush(&mut got);
+        assert_eq!(got, expect);
+        assert_eq!(got.sum(), u64::MAX, "the sum saturates");
+        assert_eq!(got.nonempty_buckets().len(), BUCKETS);
+    }
 
     #[test]
     fn bucket_boundaries() {

@@ -19,7 +19,9 @@
 //!   `tcf-obs-stream/v2` NDJSON wire format for live subscribers
 //!   (`repro --stream`, `tdbg top`).
 //! * [`LatencyHistogram`] — fixed log2-bucket, allocation-free histograms
-//!   for shared-memory round trips, network queueing and buffer reloads.
+//!   for shared-memory round trips, network queueing and buffer reloads;
+//!   [`LatencyRun`] batches one loop's samples into it without changing
+//!   a digit.
 //! * [`MetricsRegistry`] — named, typed series unifying the per-subsystem
 //!   counter structs, with per-step snapshots and event-stream replay.
 //! * [`chrome`] / [`json`] — exporters: Chrome `trace_event` JSON (open the
@@ -42,7 +44,7 @@ pub mod stream;
 pub mod trace;
 
 pub use event::{FlowEvent, Mode, TimedEvent};
-pub use hist::LatencyHistogram;
+pub use hist::{LatencyHistogram, LatencyRun};
 pub use registry::{MetricValue, MetricsRegistry, StepSnapshot};
 pub use ring::{Drained, RingBuffer};
 pub use sink::ObsSink;
