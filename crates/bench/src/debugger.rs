@@ -229,7 +229,7 @@ impl Debugger {
     fn show_flows(&self, out: &mut String) {
         for id in self.machine.flow_ids() {
             let f = self.machine.flow(id).expect("listed flow exists");
-            let status = match f.status {
+            let status = match f.status() {
                 FlowStatus::Running => "running".to_string(),
                 FlowStatus::WaitingJoin { pending } => format!("waiting-join({pending})"),
                 FlowStatus::WaitingSpawn { pending } => format!("waiting-spawn({pending})"),

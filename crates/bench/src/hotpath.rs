@@ -42,6 +42,11 @@
 //! size, so the gate can pin the flat-cost-in-thickness claim on all six
 //! variants, not just `SingleInstruction`.
 //!
+//! The `resident_flows` / `resident_flows_100x` pair
+//! ([`resident_flows_program`]) runs one scalar loop behind 10^2 and 10^4
+//! halted flows: a step costs what its runnable flows cost, not what the
+//! flow table holds.
+//!
 //! All run on the small machine (`P = 4`, `T_p = 16`) so a probe
 //! completes in milliseconds; throughput is reported as simulated machine
 //! steps and issued units ("instrs") per host second.
@@ -180,6 +185,46 @@ pub fn divergent_numa_program(slots: usize, iters: usize) -> Program {
     b.bnez(r(2), "loop");
     b.endnuma();
     b.halt();
+    b.build().expect("workload assembles")
+}
+
+/// Halted flows resident at the baseline [`resident_flows_program`] leg;
+/// the `resident_flows_100x` leg leaves 100× as many behind.
+pub const RESIDENT_FLOWS: usize = 100;
+
+/// Iterations of the scalar loop both `resident_flows` legs run once
+/// their flows have halted: 3 steps each, against the 5 steps per
+/// ten-arm `split` round that made the flows — 92% of the 100× leg's
+/// steps, so what the pair compares is the cost of a one-flow step with
+/// 10^2 and with 10^4 dead flows in the table.
+const RESIDENT_SPIN_ITERS: i64 = 20_000;
+
+/// The "halted flows cost nothing" probe: a `SingleInstruction` root
+/// `split`s ten unit flows at a time until `flows` of them have joined
+/// and halted — their flow-table slots are never reclaimed — then spins a
+/// scalar counter. A step of the spin loop runs one flow; its cost must
+/// not depend on how many flows exist (`tools/bench_gate.py` holds the
+/// 100× leg to at least half the baseline's step rate).
+pub fn resident_flows_program(flows: usize) -> Program {
+    use tcf_isa::instr::Operand;
+    use tcf_isa::reg::r;
+    use tcf_isa::{AluOp, ProgramBuilder, Word};
+    const ARMS: usize = 10;
+    let mut b = ProgramBuilder::new();
+    b.ldi(r(1), 0);
+    b.label("make");
+    b.split(vec![(Operand::Imm(1), "child".to_string()); ARMS]);
+    b.alu(AluOp::Add, r(1), r(1), 1);
+    b.alu(AluOp::Slt, r(2), r(1), (flows / ARMS) as Word);
+    b.bnez(r(2), "make");
+    b.ldi(r(3), 0);
+    b.label("spin");
+    b.alu(AluOp::Add, r(3), r(3), 1);
+    b.alu(AluOp::Slt, r(4), r(3), RESIDENT_SPIN_ITERS);
+    b.bnez(r(4), "spin");
+    b.halt();
+    b.label("child");
+    b.join();
     b.build().expect("workload assembles")
 }
 
@@ -712,6 +757,12 @@ pub fn bench_json(repeats: usize) -> String {
         entries.push((probe.name(), probe.measure(1, repeats)));
         entries.push((probe.name_100x(), probe.measure(100, repeats)));
     }
+    // Halted-flow scaling probe: the same scalar loop behind 10^2 and
+    // behind 10^4 halted flows; the gate compares the two step rates.
+    for (name, scale) in [("resident_flows", 1), ("resident_flows_100x", 100)] {
+        let program = resident_flows_program(scale * RESIDENT_FLOWS);
+        entries.push((name, measure_program(&program, repeats)));
+    }
     for mode in ObsMode::ALL {
         entries.push((mode.name(), measure_obs(mode, repeats)));
     }
@@ -991,6 +1042,29 @@ mod tests {
         }
     }
 
+    /// Both legs leave exactly their flows behind, halted, and the 100×
+    /// leg still spends nine steps in ten in the scalar loop.
+    #[test]
+    fn resident_flows_probe_accumulates_halted_flows() {
+        for scale in [1, 100] {
+            let flows = scale * RESIDENT_FLOWS;
+            let mut m = TcfMachine::new(
+                crate::small_config(),
+                Variant::SingleInstruction,
+                resident_flows_program(flows),
+            );
+            let s = m.run(10_000_000).expect("probe halts");
+            assert_eq!(m.flow_ids().len(), flows + 1);
+            assert_eq!(m.live_flows(), 0);
+            let spin = 3 * RESIDENT_SPIN_ITERS as u64;
+            assert!(
+                10 * spin >= 9 * s.steps,
+                "{flows} flows: spin loop is {spin} of {} steps",
+                s.steps
+            );
+        }
+    }
+
     #[test]
     fn bench_json_contains_all_workloads() {
         let json = bench_json(1);
@@ -998,6 +1072,8 @@ mod tests {
             assert!(json.contains(w.name()), "missing {}", w.name());
         }
         assert!(json.contains("divergent_compressed_100x"));
+        assert!(json.contains("\"resident_flows\""));
+        assert!(json.contains("resident_flows_100x"));
         for probe in VariantProbe::ALL {
             assert!(json.contains(probe.name()), "missing {}", probe.name());
             assert!(

@@ -39,7 +39,7 @@ use tcf_obs::FlowEvent;
 
 use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
-use crate::flow::{Flow, FlowStatus, Fragment};
+use crate::flow::{Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::TcfMachine;
 use crate::par_engine::{exec_thick_lanes, FragOut, ThickCtx};
 use crate::semantics::{flowwise, Control, DirectPort};
@@ -107,10 +107,8 @@ impl TcfMachine {
         for v in &mut bufs.per_group {
             v.clear();
         }
-        for (id, f) in self.flows.iter() {
-            if f.is_running() {
-                bufs.per_group[f.home_group()].push(id);
-            }
+        for f in self.flows.running() {
+            bufs.per_group[f.home_group()].push(f.id);
         }
 
         for g in 0..ngroups {
@@ -176,7 +174,7 @@ impl TcfMachine {
         sib.tid_offset = flow.tid_offset + lo * flow.tid_stride;
         sib.tid_stride = flow.tid_stride;
         sib.fragments = vec![Fragment::new(g, 0, len)];
-        self.flows.insert(sid, sib);
+        self.flows.insert(sib);
         self.obs.emit(
             self.steps,
             self.clock,
@@ -192,10 +190,10 @@ impl TcfMachine {
     /// Splits the running block `id` so its first `keep` lanes stay under
     /// `id` and the rest continue as a fresh flow at the same pc.
     fn split_async_block(&mut self, id: u32, keep: usize, g: usize) {
-        let mut flow = self.flows.remove(&id).expect("flow exists");
+        let mut flow = self.flows.take(id);
         self.carve_block(&flow, g, keep, flow.thickness - keep, flow.pc, Some(id));
         keep_front(&mut flow, g, keep);
-        self.flows.insert(id, flow);
+        self.flows.put(flow);
     }
 
     /// Executes exactly one instruction of flow `id` (all of its lanes) on
@@ -211,11 +209,11 @@ impl TcfMachine {
         follow: &mut Vec<u32>,
         scratch: &mut AsyncScratch,
     ) -> Result<usize, TcfError> {
-        let mut flow = self.flows.remove(&id).expect("flow exists");
+        let mut flow = self.flows.take(id);
         scratch.pending.clear();
         let result = self.async_instr_inner(&mut flow, g, units, scratch);
         let running = flow.is_running();
-        self.flows.insert(id, flow);
+        self.flows.put(flow);
         let lanes = result?;
         if running {
             follow.push(id);
@@ -232,7 +230,7 @@ impl TcfMachine {
     /// the direct port.
     fn async_instr_inner(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         g: usize,
         units: &mut [Vec<UnitSeq>],
         scratch: &mut AsyncScratch,
@@ -279,7 +277,7 @@ impl TcfMachine {
                 let parent = flow
                     .parent
                     .ok_or_else(|| self.flow_err(flow.id, TcfFault::StrayJoin))?;
-                flow.status = FlowStatus::Halted;
+                flow.set_status(FlowStatus::Halted);
                 self.obs.emit(
                     self.steps,
                     self.clock,
@@ -336,7 +334,7 @@ impl TcfMachine {
     /// mapping matches the per-thread XMT dynamic scheduling exactly.
     fn async_spawn(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         count: Operand,
         target: usize,
     ) -> Result<(), TcfError> {
@@ -365,7 +363,7 @@ impl TcfMachine {
             child.tid_offset = g2;
             child.tid_stride = groups;
             child.fragments = vec![Fragment::new(g2, 0, len)];
-            self.flows.insert(cid, child);
+            self.flows.insert(child);
             self.obs.emit(
                 self.steps,
                 self.clock,
@@ -376,7 +374,7 @@ impl TcfMachine {
                 },
             );
         }
-        flow.status = FlowStatus::WaitingSpawn { pending: n };
+        flow.set_status(FlowStatus::WaitingSpawn { pending: n });
         self.obs.emit(
             self.steps,
             self.clock,

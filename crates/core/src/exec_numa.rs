@@ -15,10 +15,9 @@ use tcf_obs::{FlowEvent, Mode};
 
 use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
-use crate::flow::{ExecMode, Flow, FlowStatus};
+use crate::flow::{ExecMode, Flow, FlowStatus, TakenFlow};
 use crate::machine::TcfMachine;
 use crate::semantics::{flowwise, Control, DirectPort};
-use crate::variant::Variant;
 
 impl TcfMachine {
     /// Executes one step's slice (up to `slots` instructions) of NUMA-mode
@@ -28,15 +27,15 @@ impl TcfMachine {
         id: u32,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(), TcfError> {
-        let mut flow = self.flows.remove(&id).expect("flow exists");
+        let mut flow = self.flows.take(id);
         let result = self.numa_slice_inner(&mut flow, units);
-        self.flows.insert(id, flow);
+        self.flows.put(flow);
         result
     }
 
     fn numa_slice_inner(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(), TcfError> {
         let slots = match flow.mode {
@@ -78,7 +77,7 @@ impl TcfMachine {
                     .map_err(|f| self.flow_err(flow.id, f))?;
             } else if let DecodedInst::EndNuma = instr {
                 flow.pc = pc + 1;
-                self.exit_numa(flow);
+                self.exit_numa(flow, slots);
                 self.obs.emit(
                     self.steps,
                     self.clock,
@@ -94,7 +93,7 @@ impl TcfMachine {
                 match self.control(flow, instr)? {
                     Some(Control::Goto(target)) => next_pc = target,
                     Some(Control::Halt) => {
-                        self.halt_absorbed(flow.id);
+                        self.halt_absorbed(flow.id, slots);
                         units[home].extend(run.take());
                         units[home].push(unit.into());
                         return Ok(());
@@ -134,46 +133,33 @@ impl TcfMachine {
     }
 
     /// Leaves NUMA mode: the flow resumes PRAM execution with thickness 1;
-    /// under the Configurable single operation variant absorbed siblings
-    /// resume with a copy of the bunch's final state.
-    fn exit_numa(&mut self, flow: &mut Flow) {
+    /// under the Configurable single operation variant the siblings its
+    /// bunch of `slots` absorbed resume with a copy of the bunch's final
+    /// state.
+    fn exit_numa(&mut self, flow: &mut Flow, slots: usize) {
         flow.mode = ExecMode::Pram;
         flow.thickness = 1;
         flow.fragments = self.allocation.fragments(flow.id, 1, self.config.groups);
-        if matches!(self.variant, Variant::ConfigurableSingleOperation) {
-            // The absorbed-id scan reuses the machine's pooled scratch —
-            // bunch exits in a loop stop allocating after the first.
-            let mut ids = std::mem::take(&mut self.numa_ids_buf);
-            ids.clear();
-            ids.extend(
-                self.flows
-                    .iter()
-                    .filter(|(_, f)| matches!(f.status, FlowStatus::Absorbed { leader } if leader == flow.id))
-                    .map(|(id, _)| id),
-            );
-            for &sid in &ids {
-                let sibling = self.flows.get_mut(&sid).expect("absorbed sibling exists");
-                // NUMA execution is flow-wise (registers collapsed on
-                // entry), so the sibling restarts from lane-0 views only —
-                // no per-thread lane vectors are ever copied here, keeping
-                // bunch exits O(registers) like the masked compressed path
-                // keeps divergent thick steps O(runs). The sibling's first
-                // thick step re-enters the same compressed pipeline.
-                sibling.regs = flow.regs.clone_flowwise();
-                sibling.call_stack = flow.call_stack.clone();
-                sibling.pc = flow.pc;
-                sibling.status = FlowStatus::Running;
-            }
-            self.numa_ids_buf = ids;
+        for sid in self.bunch_siblings(flow.id, slots) {
+            let sibling = self.flows.get_mut(&sid).expect("absorbed sibling exists");
+            debug_assert_eq!(sibling.status(), FlowStatus::Absorbed { leader: flow.id });
+            // NUMA execution is flow-wise (registers collapsed on entry),
+            // so the sibling restarts from lane-0 views only — no
+            // per-thread lane vectors are ever copied here, keeping bunch
+            // exits O(registers) like the masked compressed path keeps
+            // divergent thick steps O(runs). The sibling's first thick
+            // step re-enters the same compressed pipeline.
+            sibling.regs = flow.regs.clone_flowwise();
+            sibling.call_stack = flow.call_stack.clone();
+            sibling.pc = flow.pc;
+            self.flows.set_status(sid, FlowStatus::Running);
         }
     }
 
-    /// Halts every flow absorbed into a bunch led by `leader`.
-    fn halt_absorbed(&mut self, leader: u32) {
-        for f in self.flows.values_mut() {
-            if matches!(f.status, FlowStatus::Absorbed { leader: l } if l == leader) {
-                f.status = FlowStatus::Halted;
-            }
+    /// Halts every flow absorbed into the bunch of `slots` led by `leader`.
+    fn halt_absorbed(&mut self, leader: u32, slots: usize) {
+        for sid in self.bunch_siblings(leader, slots) {
+            self.flows.set_status(sid, FlowStatus::Halted);
         }
     }
 }

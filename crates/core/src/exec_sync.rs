@@ -19,7 +19,7 @@ use tcf_obs::{FlowEvent, Mode};
 
 use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
-use crate::flow::{ExecMode, Flow, FlowStatus, Fragment};
+use crate::flow::{ExecMode, Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::{TcfMachine, MAX_THICKNESS};
 use crate::semantics::{flowwise, Control, StepPort, StepSink, WbTarget};
 use crate::variant::Variant;
@@ -37,7 +37,8 @@ pub(crate) struct StepBufs {
     mem: StepSink,
     numa_flows: Vec<u32>,
     slots_used: Vec<usize>,
-    /// Flow ids snapshotted at step start (status changes mid-step).
+    /// The run list as it stood at step start: a flow created mid-step
+    /// first runs next step.
     ids: Vec<u32>,
 }
 
@@ -87,29 +88,30 @@ impl TcfMachine {
         slots_used.resize(ngroups, 0);
 
         ids.clear();
-        ids.extend(self.flows.keys());
+        ids.extend_from_slice(self.flows.runnable());
         for &id in ids.iter() {
             // Status can change mid-step (bunch absorption), so re-check.
             if !self.flows[&id].is_running() {
                 continue;
             }
-            match self.flows[&id].mode {
-                ExecMode::Numa { slots } => {
-                    if slots > 0 {
-                        self.activate_in_buffers(id, numa_units);
-                        slots_used[self.flows[&id].home_group()] += slots;
-                        numa_flows.push(id);
-                    }
+            let mut flow = self.flows.take(id);
+            let mut result = Ok(());
+            match flow.mode {
+                ExecMode::Numa { slots } if slots > 0 => {
+                    self.activate_in_buffers(&flow, numa_units);
+                    slots_used[flow.home_group()] += slots;
+                    numa_flows.push(id);
                 }
-                ExecMode::Pram => {
-                    if self.flows[&id].thickness == 0 {
-                        continue; // dormant flow: executes nothing (§3.1)
-                    }
-                    self.activate_in_buffers(id, pram_units);
-                    slots_used[self.flows[&id].home_group()] += 1;
-                    self.exec_pram_instruction(id, pram_units, mem)?;
+                // A dormant flow (thickness 0) executes nothing (§3.1).
+                ExecMode::Pram if flow.thickness > 0 => {
+                    self.activate_in_buffers(&flow, pram_units);
+                    slots_used[flow.home_group()] += 1;
+                    result = self.exec_pram_inner(&mut flow, pram_units, mem);
                 }
+                _ => {}
             }
+            self.flows.put(flow);
+            result?;
         }
 
         if fixed_rotation {
@@ -226,22 +228,10 @@ impl TcfMachine {
         }
     }
 
-    /// Executes (a slice of) one PRAM-mode instruction of flow `id`.
-    fn exec_pram_instruction(
-        &mut self,
-        id: u32,
-        units: &mut [Vec<UnitSeq>],
-        sink: &mut StepSink,
-    ) -> Result<(), TcfError> {
-        let mut flow = self.flows.remove(&id).expect("flow exists");
-        let result = self.exec_pram_inner(&mut flow, units, sink);
-        self.flows.insert(id, flow);
-        result
-    }
-
+    /// Executes (a slice of) one PRAM-mode instruction of `flow`.
     fn exec_pram_inner(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         units: &mut [Vec<UnitSeq>],
         sink: &mut StepSink,
     ) -> Result<(), TcfError> {
@@ -296,7 +286,7 @@ impl TcfMachine {
     /// common operands.
     fn exec_flowwise(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         instr: DecodedInst,
         units: &mut [Vec<UnitSeq>],
         sink: &mut StepSink,
@@ -332,7 +322,7 @@ impl TcfMachine {
     /// Returns the next pc and the issue unit the instruction occupies.
     fn exec_flow_control(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         instr: DecodedInst,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(usize, IssueUnit), TcfError> {
@@ -364,7 +354,8 @@ impl TcfMachine {
                 // the OLD thickness before it changes, so lanes exposed
                 // by a later grow read 0 exactly as per-thread storage
                 // would.
-                self.thick_decay.setthick += flow.regs.decay_compressed(flow.thickness);
+                let old = flow.thickness;
+                self.thick_decay.setthick += flow.regs.decay_compressed(old);
                 flow.thickness = v as usize;
                 flow.fragments =
                     self.allocation
@@ -381,9 +372,7 @@ impl TcfMachine {
                     return Err(self.flow_err(flow.id, TcfFault::BadThickness { requested: v }));
                 }
                 let slots = v as usize;
-                if matches!(self.variant, Variant::ConfigurableSingleOperation) {
-                    self.absorb_bunch(flow, slots, pc)?;
-                }
+                self.absorb_bunch(flow, slots, pc)?;
                 flow.mode = ExecMode::Numa { slots };
                 flow.regs.collapse_to_flowwise();
                 flow.fragments = vec![Fragment::new(home, 0, 1)];
@@ -420,7 +409,7 @@ impl TcfMachine {
                     child.fragments =
                         self.allocation
                             .fragments(child_id, t as usize, self.config.groups);
-                    self.flows.insert(child_id, child);
+                    self.flows.insert(child);
                     self.obs.emit(
                         self.steps,
                         self.clock,
@@ -433,12 +422,13 @@ impl TcfMachine {
                     pending += 1;
                     // Flow creation copies the R common registers: the
                     // O(R) flow-branch cost of Table 1.
-                    for _ in 0..self.config.regs_per_thread {
-                        units[home].push(IssueUnit::overhead(flow.id).into());
-                    }
+                    units[home].push(UnitSeq::OverheadRun {
+                        flow: flow.id,
+                        count: self.config.regs_per_thread,
+                    });
                 }
                 if pending > 0 {
-                    flow.status = FlowStatus::WaitingJoin { pending };
+                    flow.set_status(FlowStatus::WaitingJoin { pending });
                     self.obs.emit(
                         self.steps,
                         self.clock,
@@ -461,7 +451,7 @@ impl TcfMachine {
                 let parent = flow
                     .parent
                     .ok_or_else(|| self.flow_err(flow.id, TcfFault::StrayJoin))?;
-                flow.status = FlowStatus::Halted;
+                flow.set_status(FlowStatus::Halted);
                 self.obs.emit(
                     self.steps,
                     self.clock,
@@ -501,37 +491,27 @@ impl TcfMachine {
             step,
             flow: None,
         };
-        let p = self
+        let status = self
             .flows
-            .get_mut(&parent)
-            .ok_or_else(|| missing(format!("join to missing parent {parent}")))?;
-        let mut woke = false;
-        match p.status {
-            FlowStatus::WaitingJoin { pending } if pending > count => {
-                p.status = FlowStatus::WaitingJoin {
-                    pending: pending - count,
-                };
-            }
-            FlowStatus::WaitingJoin { .. } => {
-                p.status = FlowStatus::Running;
-                woke = true;
-            }
-            FlowStatus::WaitingSpawn { pending } if pending > count => {
-                p.status = FlowStatus::WaitingSpawn {
-                    pending: pending - count,
-                };
-            }
-            FlowStatus::WaitingSpawn { .. } => {
-                p.status = FlowStatus::Running;
-                woke = true;
-            }
+            .get(&parent)
+            .ok_or_else(|| missing(format!("join to missing parent {parent}")))?
+            .status();
+        let next = match status {
+            FlowStatus::WaitingJoin { pending } if pending > count => FlowStatus::WaitingJoin {
+                pending: pending - count,
+            },
+            FlowStatus::WaitingSpawn { pending } if pending > count => FlowStatus::WaitingSpawn {
+                pending: pending - count,
+            },
+            FlowStatus::WaitingJoin { .. } | FlowStatus::WaitingSpawn { .. } => FlowStatus::Running,
             _ => {
                 return Err(self.host_err(TcfFault::Internal {
                     what: format!("join to non-waiting parent {parent}"),
                 }))
             }
-        }
-        if woke {
+        };
+        self.flows.set_status(parent, next);
+        if next == FlowStatus::Running {
             self.obs
                 .emit(self.steps, self.clock, FlowEvent::WaitEnd { flow: parent });
         }
@@ -540,7 +520,8 @@ impl TcfMachine {
 
     /// Configurable single operation: `numa T` executed by a unit flow
     /// absorbs its `T - 1` same-group sibling flows (which must be at the
-    /// same `numa` instruction) into a bunch.
+    /// same `numa` instruction) into a bunch. Under every other variant a
+    /// flow enters NUMA mode alone.
     fn absorb_bunch(&mut self, leader: &mut Flow, slots: usize, pc: usize) -> Result<(), TcfError> {
         let group = leader.home_group();
         let leader_id = leader.id;
@@ -552,11 +533,10 @@ impl TcfMachine {
             step,
             flow: Some(leader_id),
         };
-        for k in 1..slots as u32 {
-            let sid = leader_id + k;
+        for sid in self.bunch_siblings(leader_id, slots) {
             let sibling = self
                 .flows
-                .get_mut(&sid)
+                .get(&sid)
                 .ok_or_else(|| fail("sibling flow missing"))?;
             if sibling.home_group() != group {
                 return Err(fail("sibling in another group"));
@@ -567,8 +547,18 @@ impl TcfMachine {
             if sibling.pc != pc {
                 return Err(fail("siblings not at a common pc"));
             }
-            sibling.status = FlowStatus::Absorbed { leader: leader_id };
+            self.flows
+                .set_status(sid, FlowStatus::Absorbed { leader: leader_id });
         }
         Ok(())
+    }
+
+    /// Ids of the sibling unit flows a bunch of `slots` led by `leader`
+    /// absorbs: none under the variants whose flows enter NUMA mode alone.
+    pub(crate) fn bunch_siblings(&self, leader: u32, slots: usize) -> std::ops::Range<u32> {
+        match self.variant {
+            Variant::ConfigurableSingleOperation => leader + 1..leader + slots as u32,
+            _ => 0..0,
+        }
     }
 }

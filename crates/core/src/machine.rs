@@ -31,7 +31,7 @@ use tcf_isa::program::Program;
 use tcf_isa::reg::SpecialReg;
 use tcf_isa::word::Word;
 use tcf_machine::{
-    FlowDesc, GroupPipeline, IssueUnit, MachineConfig, MachineStats, TcfBuffer, Trace, UnitSeq,
+    FlowDesc, GroupPipeline, MachineConfig, MachineStats, TcfBuffer, Trace, UnitSeq,
 };
 use tcf_mem::{BulkReplies, LocalMemory, SharedMemory, StepScratch, StepStats};
 use tcf_net::{NetStats, Network};
@@ -103,8 +103,6 @@ pub struct TcfMachine {
     pub(crate) step_bufs: StepBufs,
     /// Reusable per-quantum buffers of the asynchronous engine.
     pub(crate) async_bufs: AsyncBufs,
-    /// Reusable absorbed-id scratch of NUMA bunch exit.
-    pub(crate) numa_ids_buf: Vec<u32>,
     /// Reusable fragment-output pool of thick execution.
     pub(crate) frag_pool: Vec<FragOut>,
     /// Reusable slice list of thick execution.
@@ -193,7 +191,6 @@ impl TcfMachine {
             mem_bulk: BulkReplies::default(),
             step_bufs: StepBufs::default(),
             async_bufs: AsyncBufs::default(),
-            numa_ids_buf: Vec::new(),
             frag_pool: Vec::new(),
             slice_buf: Vec::new(),
             config,
@@ -228,7 +225,7 @@ impl TcfMachine {
                 let mut f = Flow::new(self.alloc_id(), 1, entry, nregs);
                 f.rank_base = 0;
                 f.fragments = self.allocation.fragments(f.id, 1, self.config.groups);
-                self.flows.insert(f.id, f);
+                self.flows.insert(f);
             }
             Variant::SingleOperation | Variant::ConfigurableSingleOperation => {
                 let tp = self.config.threads_per_group;
@@ -238,7 +235,7 @@ impl TcfMachine {
                     f.rank_base = rank;
                     f.tid_offset = rank;
                     f.fragments = vec![crate::flow::Fragment::new(rank / tp, 0, 1)];
-                    self.flows.insert(id, f);
+                    self.flows.insert(f);
                 }
             }
             Variant::FixedThickness { width } => {
@@ -247,7 +244,7 @@ impl TcfMachine {
                 // A vector machine is a single processor: everything on
                 // group 0.
                 f.fragments = vec![crate::flow::Fragment::new(0, 0, width)];
-                self.flows.insert(f.id, f);
+                self.flows.insert(f);
             }
         }
     }
@@ -298,7 +295,7 @@ impl TcfMachine {
         let live: Vec<(u32, Option<u32>, usize)> = self
             .flows
             .values()
-            .filter(|f| f.status != FlowStatus::Halted)
+            .filter(|f| f.status() != FlowStatus::Halted)
             .map(|f| (f.id, f.parent, f.thickness))
             .collect();
         for (id, parent, thickness) in live {
@@ -368,11 +365,10 @@ impl TcfMachine {
     /// thickness profile used by the Figure 3/4 reproductions.
     pub fn running_thickness(&self) -> usize {
         self.flows
-            .values()
-            .filter(|f| f.is_running())
+            .running()
             .map(|f| match f.mode {
-                crate::flow::ExecMode::Pram => f.thickness,
-                crate::flow::ExecMode::Numa { .. } => 0,
+                ExecMode::Pram => f.thickness,
+                ExecMode::Numa { .. } => 0,
             })
             .sum()
     }
@@ -398,10 +394,15 @@ impl TcfMachine {
 
     /// Number of flows that still have work or are waiting.
     pub fn live_flows(&self) -> usize {
-        self.flows
-            .values()
-            .filter(|f| f.status != FlowStatus::Halted)
-            .count()
+        self.flows.live()
+    }
+
+    /// Test support: recounts the scheduler's run list and flow counts
+    /// from the flows themselves (see [`FlowTable::check`]). Debug builds
+    /// assert it as they step.
+    #[doc(hidden)]
+    pub fn check_flow_table(&self) -> Result<(), String> {
+        self.flows.check()
     }
 
     /// The recorded trace.
@@ -560,7 +561,7 @@ impl TcfMachine {
         let id = self.alloc_id();
         let mut f = Flow::new(id, thickness, entry, self.config.regs_per_thread);
         f.fragments = self.allocation.fragments(id, thickness, self.config.groups);
-        self.flows.insert(id, f);
+        self.flows.insert(f);
         self.obs.emit(
             self.steps,
             self.clock,
@@ -591,32 +592,32 @@ impl TcfMachine {
 
     /// Whether any flow can make progress this step.
     pub(crate) fn has_workable_flow(&self) -> bool {
-        self.flows.values().any(|f| {
-            f.is_running()
-                && match f.mode {
-                    ExecMode::Pram => f.thickness > 0,
-                    ExecMode::Numa { slots } => slots > 0,
-                }
+        self.flows.running().any(|f| match f.mode {
+            ExecMode::Pram => f.thickness > 0,
+            ExecMode::Numa { slots } => slots > 0,
         })
     }
 
     /// Executes one machine step. Returns `false` when no flow had work.
     pub fn step(&mut self) -> Result<bool, TcfError> {
         if !self.has_workable_flow() {
-            let waiting = self.flows.values().any(|f| {
-                matches!(
-                    f.status,
-                    FlowStatus::WaitingJoin { .. } | FlowStatus::WaitingSpawn { .. }
-                )
-            });
-            if waiting {
+            if self.flows.waiting() > 0 {
                 return Err(self.host_err(TcfFault::Deadlock));
             }
             return Ok(false);
         }
-        match self.variant {
-            Variant::MultiInstruction => self.step_async()?,
-            _ => self.step_sync()?,
+        let stepped = match self.variant {
+            Variant::MultiInstruction => self.step_async(),
+            _ => self.step_sync(),
+        };
+        self.flows.settle();
+        stepped?;
+        // A recount walks every slot, so debug builds space it to stay
+        // O(1) per step amortised: every step while the table is small,
+        // every 157th behind 10^4 flows.
+        let spacing = self.flows.len() as u64 / 64 + 1;
+        if cfg!(debug_assertions) && self.steps.is_multiple_of(spacing) {
+            assert_eq!(self.flows.check(), Ok(()));
         }
         self.steps += 1;
         // The machine owns the step counter (a step may span several
@@ -694,33 +695,30 @@ impl TcfMachine {
     }
 
     /// Activates `flow`'s descriptor in the TCF buffer of every fragment
-    /// group, pushing reload-overhead units where it missed. Free when
-    /// resident — the extended model's zero-cost task switch. Iterates the
-    /// fragment list by index (re-borrowing the flow per fragment) so the
-    /// steady-state step loop allocates nothing here.
-    pub(crate) fn activate_in_buffers(&mut self, flow_id: u32, units: &mut [Vec<UnitSeq>]) {
-        let flow = &self.flows[&flow_id];
+    /// group, pushing one reload-overhead run where it missed. Free when
+    /// resident — the extended model's zero-cost task switch.
+    pub(crate) fn activate_in_buffers(&mut self, flow: &Flow, units: &mut [Vec<UnitSeq>]) {
         let desc = match flow.mode {
             ExecMode::Pram => FlowDesc::pram(flow.id, flow.thickness, flow.pc),
             ExecMode::Numa { slots } => FlowDesc::numa(flow.id, slots, flow.pc),
         };
-        let nfrags = flow.fragments.len();
-        for fi in 0..nfrags {
-            let g = self.flows[&flow_id].fragments[fi].group;
+        for frag in &flow.fragments {
+            let g = frag.group;
             let cost = self.buffers[g].activate(desc);
             if cost > 0 {
                 self.obs.emit(
                     self.steps,
                     self.clock,
                     FlowEvent::BufferReload {
-                        flow: flow_id,
+                        flow: flow.id,
                         group: g,
                         cost,
                     },
                 );
-            }
-            for _ in 0..cost {
-                units[g].push(IssueUnit::overhead(flow_id).into());
+                units[g].push(UnitSeq::OverheadRun {
+                    flow: flow.id,
+                    count: cost as usize,
+                });
             }
         }
     }

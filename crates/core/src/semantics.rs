@@ -29,7 +29,7 @@ use tcf_obs::FlowEvent;
 
 use crate::decoded::{DecodedInst, DecodedProgram};
 use crate::error::{TcfError, TcfFault};
-use crate::flow::{Flow, FlowStatus};
+use crate::flow::{Flow, FlowStatus, TakenFlow};
 use crate::machine::{special_value, TcfMachine};
 
 /// Destination lanes of a pending register write-back.
@@ -411,7 +411,7 @@ impl TcfMachine {
     #[inline]
     pub(crate) fn control(
         &mut self,
-        flow: &mut Flow,
+        flow: &mut TakenFlow,
         instr: DecodedInst,
     ) -> Result<Option<Control>, TcfError> {
         let pc = flow.pc;
@@ -437,7 +437,7 @@ impl TcfMachine {
             },
             DecodedInst::Sync | DecodedInst::Nop => Control::Goto(pc + 1),
             DecodedInst::Halt => {
-                flow.status = FlowStatus::Halted;
+                flow.set_status(FlowStatus::Halted);
                 self.obs.emit(
                     self.steps,
                     self.clock,

@@ -157,6 +157,14 @@ pub enum UnitSeq {
         /// Number of lanes.
         count: usize,
     },
+    /// `count` flow-management overhead cycles of `flow` — a TCF-buffer
+    /// reload, the register copies of a flow creation.
+    OverheadRun {
+        /// Flow the cycles are spent on.
+        flow: FlowTag,
+        /// Number of cycles.
+        count: usize,
+    },
 }
 
 impl From<IssueUnit> for UnitSeq {
@@ -173,7 +181,8 @@ impl UnitSeq {
             UnitSeq::One(_) => 1,
             UnitSeq::ComputeRun { count, .. }
             | UnitSeq::SharedRun { count, .. }
-            | UnitSeq::LocalRun { count, .. } => count,
+            | UnitSeq::LocalRun { count, .. }
+            | UnitSeq::OverheadRun { count, .. } => count,
         }
     }
 
@@ -199,6 +208,7 @@ impl UnitSeq {
                 ..
             } => IssueUnit::shared_mem(flow, thread0 + k, (node0 + k * node_step) % nodes),
             UnitSeq::LocalRun { flow, thread0, .. } => IssueUnit::local_mem(flow, thread0 + k),
+            UnitSeq::OverheadRun { flow, .. } => IssueUnit::overhead(flow),
         }
     }
 }
@@ -327,12 +337,13 @@ impl GroupPipeline {
                 UnitSeq::One(u) => {
                     self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
                 }
-                UnitSeq::ComputeRun { count, .. } => {
+                // Neither kind waits for a reply, serialized or not.
+                UnitSeq::ComputeRun { count, .. } | UnitSeq::OverheadRun { count, .. } => {
                     if count == 0 {
                         continue;
                     }
                     st.advance_issue(count, width);
-                    stats.count_units(UnitKind::Compute, count as u64);
+                    stats.count_units(s.unit_at(0).kind, count as u64);
                 }
                 UnitSeq::LocalRun { count, .. } => {
                     if count == 0 {
@@ -925,6 +936,22 @@ mod tests {
                 },
                 UnitSeq::One(IssueUnit::shared_mem(8, 41, 0)),
             ],
+            // A buffer reload entered mid-cycle (three singles into ILP 4),
+            // then the degenerate lengths, then work behind them.
+            vec![
+                UnitSeq::One(IssueUnit::compute(2, 0)),
+                UnitSeq::One(IssueUnit::compute(2, 1)),
+                UnitSeq::One(IssueUnit::compute(2, 2)),
+                UnitSeq::OverheadRun { flow: 3, count: 8 },
+                UnitSeq::OverheadRun { flow: 4, count: 0 },
+                UnitSeq::OverheadRun { flow: 5, count: 1 },
+                UnitSeq::One(IssueUnit::shared_mem(3, 0, 2)),
+                UnitSeq::ComputeRun {
+                    flow: 3,
+                    thread0: 0,
+                    count: 6,
+                },
+            ],
             // Long local run entered mid-cycle, then more locals — the
             // serialized closed form (NUMA bunch shape) must carry the
             // cadence exactly like the per-unit replay.
@@ -1011,6 +1038,7 @@ mod tests {
                 nodes,
             },
             UnitSeq::One(IssueUnit::shared_mem(1, 3, far)),
+            UnitSeq::OverheadRun { flow: 2, count: 5 },
             UnitSeq::LocalRun {
                 flow: 1,
                 thread0: 0,
@@ -1064,6 +1092,7 @@ mod tests {
                 count: 12,
             },
             UnitSeq::One(IssueUnit::shared_mem(3, 0, 5)),
+            UnitSeq::OverheadRun { flow: 4, count: 8 },
             UnitSeq::One(IssueUnit::compute(3, 0)),
         ];
         for (mk_net, nodes, far) in [(mesh as fn() -> Network, 16, 15), (long_ring, 64, 32)] {

@@ -142,6 +142,130 @@ fn paper_workloads_match_across_engines() {
     }
 }
 
+/// Steps `program` under `variant` to its end (a halt, a fault or the
+/// step budget), recounting the scheduler's run list and flow counts from
+/// the flows themselves after every step — debug builds assert the same
+/// inside `step`, this holds it in release builds too.
+fn assert_run_list_tracks_statuses(
+    name: &str,
+    config: MachineConfig,
+    variant: Variant,
+    program: &Program,
+    init: impl Fn(&mut TcfMachine),
+) {
+    for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
+        let mut m = TcfMachine::new(config.clone(), variant, program.clone());
+        m.set_engine(engine);
+        init(&mut m);
+        for _ in 0..50_000 {
+            let stepped = m.step();
+            if let Err(e) = m.check_flow_table() {
+                panic!(
+                    "{name} / {variant:?} / {engine:?}, step {}: {e}",
+                    m.steps_executed()
+                );
+            }
+            if !matches!(stepped, Ok(true)) {
+                break;
+            }
+        }
+    }
+}
+
+#[test]
+fn run_list_equals_running_flows_after_every_step() {
+    let small = MachineConfig::small;
+    let variants = || {
+        let mut v = all_variants();
+        v.extend([
+            Variant::Balanced { bound: 1 },
+            Variant::Balanced { bound: 64 },
+        ]);
+        v
+    };
+    // The paper workloads under every variant, faults included.
+    let cases: Vec<(&str, Program, usize)> = vec![
+        ("tcf_vector_add", workloads::tcf_vector_add(96), 96),
+        ("loop_vector_add", workloads::loop_vector_add(64), 64),
+        ("guard_vector_add", workloads::guard_vector_add(64), 64),
+        ("tcf_scan", workloads::tcf_scan(64), 64),
+        ("fork_scan", workloads::fork_scan(64), 64),
+        ("tcf_two_way", workloads::tcf_two_way(64), 64),
+        ("tcf_numa_seq", workloads::tcf_numa_seq(10, 4), 0),
+    ];
+    for (name, program, size) in &cases {
+        for variant in variants() {
+            assert_run_list_tracks_statuses(name, small(), variant, program, |m| {
+                if *size > 0 {
+                    workloads::init_arrays_tcf(m, *size);
+                }
+            });
+        }
+    }
+    // Nested `split`/`join`: parents wait, children halt, parents wake.
+    let nested = tcf::isa::asm::assemble(
+        "main:
+            split (4 -> outer), (1 -> outer), (9 -> leaf)
+            split (2 -> leaf), (2 -> leaf)
+            halt
+        outer:
+            split (3 -> leaf), (1 -> leaf)
+            join
+        leaf:
+            mfs r1, tid
+            st r1, [r1+200]
+            join
+        ",
+    )
+    .unwrap();
+    for variant in [Variant::SingleInstruction, Variant::Balanced { bound: 3 }] {
+        assert_run_list_tracks_statuses("nested_split", small(), variant, &nested, |_| {});
+    }
+    // Bunches of four unit flows: absorbed at `numa`, then every other
+    // bunch halts inside NUMA mode (its siblings halt with it) and the
+    // rest leave it and go on as unit flows.
+    let bunches = tcf::lang::compile(
+        "shared int acc @ 70;
+         shared int c[64] @ 300;
+         void main() {
+             numa (4) {
+                 int k = 0;
+                 while (k < 9) { k = k + 1; }
+                 acc = k;
+                 if (gid % 8 == 4) { return; }
+             }
+             c[gid] = gid;
+         }",
+    )
+    .unwrap();
+    for variant in [
+        Variant::ConfigurableSingleOperation,
+        Variant::SingleInstruction,
+    ] {
+        assert_run_list_tracks_statuses("bunches", small(), variant, &bunches, |_| {});
+    }
+    // A spawn wider than a quantum (4 groups x 16): blocks split at the
+    // budget boundary, tails get fresh ids, divergent branches carve more.
+    for n in [40usize, 100, 1000] {
+        let program = spawn_task(
+            n,
+            &[
+                Segment::ThickInit(1),
+                Segment::ThickStore { base: 0, src: 1 },
+            ],
+        );
+        for shatter in [0, 1] {
+            assert_run_list_tracks_statuses(
+                "spawn_blocks",
+                small(),
+                Variant::MultiInstruction,
+                &program,
+                |m| m.poke(SHATTER_FLAG, shatter).unwrap(),
+            );
+        }
+    }
+}
+
 #[test]
 fn engine_env_spec_selects_parallel() {
     // Machines pick the engine up from TCF_ENGINE at construction (other

@@ -18,7 +18,11 @@ run alone (docs/OBSERVABILITY.md "Measured overhead"):
   baseline leg — per-step (or per-instruction, for the SPMD-shaped
   variants) cost of a divergent-but-compressed flow stays flat in
   thickness on all six execution variants (docs/PERFORMANCE.md
-  "Compression across variants").
+  "Compression across variants");
+* `resident_flows_100x` must hold at least half the step rate of
+  `resident_flows` — a step costs what its runnable flows cost, however
+  many halted flows the table holds (docs/PERFORMANCE.md "What a step
+  costs when flows are thin").
 
 Usage: bench_gate.py FRESH_JSON [COMMITTED_JSON]
 
@@ -38,11 +42,12 @@ class GateFailure(Exception):
     """A hard gate violation; the message is the exit diagnostic."""
 
 
-# The per-variant thickness-scaling pairs: (baseline leg, 100x leg,
-# compared metric). The thick-instruction variants are compared on step
-# rate (same per-step work at both sizes if compression holds); the
-# SPMD-shaped variants materialize one unit flow per thread, so their
-# honest flat metric is per-instruction throughput.
+# The scaling pairs: (baseline leg, 100x leg, compared metric). The
+# thick-instruction variants are compared on step rate (same per-step work
+# at both sizes if compression holds); the SPMD-shaped variants
+# materialize one unit flow per thread, so their honest flat metric is
+# per-instruction throughput. `resident_flows` runs one scalar loop behind
+# 10^2 and 10^4 halted flows: halted flows cost nothing.
 VARIANT_SCALING = [
     ("divergent_compressed", "divergent_compressed_100x", "steps_per_sec"),
     ("divergent_balanced", "divergent_balanced_100x", "steps_per_sec"),
@@ -50,6 +55,7 @@ VARIANT_SCALING = [
     ("divergent_fixed", "divergent_fixed_100x", "steps_per_sec"),
     ("divergent_numa", "divergent_numa_100x", "instrs_per_sec"),
     ("divergent_spmd", "divergent_spmd_100x", "instrs_per_sec"),
+    ("resident_flows", "resident_flows_100x", "steps_per_sec"),
 ]
 
 
@@ -137,7 +143,7 @@ def run_gate(fresh: dict, committed: dict) -> list:
         )
         if ratio < 0.5:
             raise GateFailure(
-                f"{base_key} cost is not flat in thickness: {line}"
+                f"{base_key} cost is not flat in size: {line}"
             )
         lines.append(line)
 

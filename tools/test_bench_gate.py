@@ -105,8 +105,29 @@ class GateTests(unittest.TestCase):
                 committed["workloads"][base][metric] * 0.4
             )
             fresh = copy.deepcopy(committed)
-            with self.assertRaisesRegex(GateFailure, "not flat in thickness"):
+            with self.assertRaisesRegex(GateFailure, "not flat in size"):
                 run_gate(fresh, committed)
+
+    def test_halted_flows_must_cost_nothing(self):
+        # What the table walk did: every step of the 100x leg visited 10^4
+        # dead slots, a step rate some fifty times below the baseline's.
+        committed = healthy_doc()
+        self.assertIn(
+            ("resident_flows", "resident_flows_100x", "steps_per_sec"),
+            VARIANT_SCALING,
+        )
+        committed["workloads"]["resident_flows_100x"] = entry(
+            steps=20_000.0, instrs=40_000.0
+        )
+        fresh = copy.deepcopy(committed)
+        with self.assertRaisesRegex(GateFailure, "resident_flows cost is not flat in size"):
+            run_gate(fresh, committed)
+        # Half the baseline's rate is the line: just above it passes.
+        fresh["workloads"]["resident_flows_100x"] = entry(
+            steps=510_000.0, instrs=1_020_000.0
+        )
+        lines = run_gate(fresh, copy.deepcopy(fresh))
+        self.assertTrue(any(l.startswith("resident_flows_100x:") for l in lines))
 
     def test_obs_overhead_budget_enforced(self):
         committed = healthy_doc()
