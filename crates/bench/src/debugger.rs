@@ -351,7 +351,7 @@ impl Debugger {
         let _ = writeln!(
             out,
             "obs: {} trace events ({} dropped), {} flow events ({} dropped)",
-            self.machine.trace().events().len(),
+            self.machine.trace().len(),
             self.machine.trace().dropped(),
             self.machine.obs().events().len(),
             self.machine.obs().dropped(),

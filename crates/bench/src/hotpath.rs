@@ -42,6 +42,11 @@
 //! size, so the gate can pin the flat-cost-in-thickness claim on all six
 //! variants, not just `SingleInstruction`.
 //!
+//! The `recorded_compressed` / `recorded_compressed_100x` pair
+//! ([`measure_recorded`]) runs `divergent_compressed`'s program at 10^6
+//! and 10^8 lanes with both sinks recording: the trace stores runs, so
+//! recording a step costs what the step's runs cost, not its lanes.
+//!
 //! The `resident_flows` / `resident_flows_100x` pair
 //! ([`resident_flows_program`]) runs one scalar loop behind 10^2 and 10^4
 //! halted flows: a step costs what its runnable flows cost, not what the
@@ -402,13 +407,27 @@ pub fn measure(w: Workload, repeats: usize) -> Measurement {
 /// `divergent_compressed_100x` thickness-scaling probe, which re-runs
 /// [`divergent_program`] at 100× [`DIVERGENT_THICKNESS`].
 pub fn measure_program(program: &Program, repeats: usize) -> Measurement {
+    measure_single_flow(program, false, repeats)
+}
+
+/// [`measure_program`] under [`ObsMode::Record`]: the cycle trace and the
+/// flow-event sink both recording, unbounded — the
+/// `recorded_compressed` / `recorded_compressed_100x` pair.
+pub fn measure_recorded(program: &Program, repeats: usize) -> Measurement {
+    measure_single_flow(program, true, repeats)
+}
+
+fn measure_single_flow(program: &Program, recorded: bool, repeats: usize) -> Measurement {
     measure_with(
         &|| {
-            TcfMachine::new(
+            let mut m = TcfMachine::new(
                 crate::small_config(),
                 Variant::SingleInstruction,
                 program.clone(),
-            )
+            );
+            m.set_tracing(recorded);
+            m.set_observing(recorded);
+            m
         },
         repeats,
     )
@@ -690,9 +709,9 @@ impl ObsMode {
                 drain_ndjson(m.trace(), m.obs(), &mut cursor, &mut doc);
                 std::hint::black_box(doc.len());
             }
-            ObsMode::Off | ObsMode::Record => {
-                m.run(10_000_000).expect("workload halts");
-            }
+            // What `thick_pram_flow` is measured through, in the same
+            // harness: `off` against it prices the sinks and nothing else.
+            ObsMode::Off | ObsMode::Record => return run_capped(m, None),
         }
         (m.steps_executed(), m.stats().issued())
     }
@@ -702,33 +721,7 @@ impl ObsMode {
 /// calibrated-batch harness as [`measure`].
 pub fn measure_obs(mode: ObsMode, repeats: usize) -> Measurement {
     let program = Workload::ThickPram.program();
-    let (steps, instrs, iters) = {
-        let mut m = mode.build(&program);
-        let start = Instant::now();
-        let (steps, instrs) = mode.run(&mut m);
-        let once = start.elapsed().as_secs_f64().max(1e-9);
-        (
-            steps,
-            instrs,
-            (MIN_SAMPLE_SECS / once).ceil().max(1.0) as usize,
-        )
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let mut total = 0.0;
-        for _ in 0..iters {
-            let mut m = mode.build(&program);
-            let start = Instant::now();
-            mode.run(&mut m);
-            total += start.elapsed().as_secs_f64();
-        }
-        best = best.min(total / iters as f64);
-    }
-    Measurement {
-        steps,
-        instrs,
-        elapsed_sec: best.max(f64::MIN_POSITIVE),
-    }
+    measure_runs(&|| mode.build(&program), &|m| mode.run(m), repeats)
 }
 
 /// Renders the `BENCH_hotpath.json` document (`tcf-bench-hotpath/v1`):
@@ -756,6 +749,19 @@ pub fn bench_json(repeats: usize) -> String {
     for probe in VariantProbe::ALL {
         entries.push((probe.name(), probe.measure(1, repeats)));
         entries.push((probe.name_100x(), probe.measure(100, repeats)));
+    }
+    // Recording-scaling probe: the divergent recurrence with both sinks
+    // recording (unbounded), at 10^6 and at 10^8 lanes. The trace stores
+    // a thick instruction's issue as a run per group, so the step rate
+    // must stay as flat as it does with the sinks off: recording is
+    // O(#runs). (One record per unit would be 4.8 GB per instruction on
+    // the 100x leg.)
+    for (name, scale) in [
+        ("recorded_compressed", 1),
+        ("recorded_compressed_100x", 100),
+    ] {
+        let program = divergent_program(scale * DIVERGENT_THICKNESS);
+        entries.push((name, measure_recorded(&program, repeats)));
     }
     // Halted-flow scaling probe: the same scalar loop behind 10^2 and
     // behind 10^4 halted flows; the gate compares the two step rates.
@@ -1074,6 +1080,8 @@ mod tests {
         assert!(json.contains("divergent_compressed_100x"));
         assert!(json.contains("\"resident_flows\""));
         assert!(json.contains("resident_flows_100x"));
+        assert!(json.contains("\"recorded_compressed\""));
+        assert!(json.contains("recorded_compressed_100x"));
         for probe in VariantProbe::ALL {
             assert!(json.contains(probe.name()), "missing {}", probe.name());
             assert!(

@@ -348,7 +348,7 @@ fn trace_and_stats_agree_on_issue_slot_accounting() {
 
     let groups = m.config().groups;
     let trace_busy: u64 = (0..groups).map(|g| m.trace().busy_cycles(g)).sum();
-    let trace_total = m.trace().events().len() as u64;
+    let trace_total = m.trace().len();
     let slot_issued = s.compute_ops + s.shared_refs + s.local_refs;
 
     assert_eq!(trace_busy, slot_issued);

@@ -114,9 +114,10 @@ impl IssueUnit {
 /// form; spans rotating across modules make one fused
 /// [`Network::roundtrip`] per message, but skip the per-unit dispatch.
 ///
-/// Every span expands to exactly the unit sequence the uncompressed path
-/// would have produced; `run_step_seq` falls back to per-unit expansion
-/// whenever tracing is enabled so event streams stay bit-identical.
+/// Every span stands for exactly the unit sequence the uncompressed path
+/// would have produced, and a recording trace stores it as what it is —
+/// one run ([`TraceEvent::run`]) — so recording does not change what a
+/// step costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitSeq {
     /// A single unit, exactly as in the uncompressed path.
@@ -305,13 +306,15 @@ impl GroupPipeline {
     /// unit sequence.
     ///
     /// Produces the exact timing, statistics, network occupancy, and (when
-    /// tracing) event stream of `run_step` on the expanded sequence.
-    /// Compute and local-memory runs advance the issue cadence in closed
-    /// form when nothing observes the individual units. Same-module
-    /// shared-memory runs walk the router for message 0 only and replay
-    /// the remaining messages in closed form
+    /// tracing) recorded trace of `run_step` on the expanded sequence.
+    /// Compute, overhead and local-memory runs advance the issue cadence in
+    /// closed form. Same-module shared-memory runs walk the router for
+    /// message 0 only and replay the remaining messages in closed form
     /// ([`Network::replay_roundtrip_tail`]); runs that rotate across
-    /// modules make one [`Network::roundtrip`] per message.
+    /// modules make one [`Network::roundtrip`] per message. Each of them
+    /// is recorded as the one run it is, on the same path, tracing or not;
+    /// only what has no cadence shape — single units, and memory
+    /// references a serialized stream waits on — is recorded per unit.
     pub fn run_step_seq(
         &self,
         start: u64,
@@ -324,75 +327,77 @@ impl GroupPipeline {
         let width = if serialize_mem { 1 } else { self.ilp_width };
         let mut st = IssueState::new(start);
         let mut issued_total = 0usize;
-        let expand = trace.is_enabled();
         for s in seqs {
-            issued_total += s.len();
+            let count = s.len();
+            issued_total += count;
             match *s {
-                _ if expand => {
-                    for k in 0..s.len() {
+                UnitSeq::One(u) => {
+                    self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
+                }
+                _ if count == 0 => {}
+                // Neither kind waits for a reply, serialized or not.
+                UnitSeq::ComputeRun { .. } | UnitSeq::OverheadRun { .. } => {
+                    self.begin_run(&st, s, s.unit_at(0).kind, width, trace, stats);
+                    st.advance_issue(count, width);
+                }
+                UnitSeq::LocalRun { flow, thread0, .. } if serialize_mem => {
+                    // A serialized stream re-synchronizes on every
+                    // reply, so the cadence is strictly periodic: each
+                    // local reference advances the clock by
+                    // `max(1, local_latency)` and resets the issue
+                    // slot — the whole run collapses to closed form.
+                    // This is the NUMA bunch shape: `T` consecutive
+                    // local references of a sequential stream cost
+                    // O(1) timing work instead of O(T).
+                    let period = self.local_latency.max(1);
+                    if period == 1 {
+                        self.begin_run(&st, s, UnitKind::MemLocal, width, trace, stats);
+                    } else {
+                        // `period` cycles apart is not a cadence shape:
+                        // a recording trace takes these one by one.
+                        stats.count_units(UnitKind::MemLocal, count as u64);
+                        if trace.is_enabled() {
+                            let (t0, _) = st.next_slot(width);
+                            for k in 0..count {
+                                trace.push(TraceEvent::unit(
+                                    t0 + k as u64 * period,
+                                    self.group,
+                                    Some(flow),
+                                    Some(thread0 + k),
+                                    UnitKind::MemLocal,
+                                ));
+                            }
+                        }
+                    }
+                    (st.t, _) = st.next_slot(width);
+                    st.last_reply = st
+                        .last_reply
+                        .max(st.t + (count as u64 - 1) * period + self.local_latency);
+                    st.t += count as u64 * period;
+                    st.issued_this_cycle = 0;
+                }
+                UnitSeq::LocalRun { .. } => {
+                    self.begin_run(&st, s, UnitKind::MemLocal, width, trace, stats);
+                    // Replies are monotone in issue time, so only the
+                    // last lane's reply can extend the step.
+                    st.advance_issue(count, width);
+                    st.last_reply = st.last_reply.max(st.t + self.local_latency);
+                }
+                UnitSeq::SharedRun { .. } if serialize_mem => {
+                    // Every reference restarts the cadence at its reply.
+                    for k in 0..count {
                         let u = s.unit_at(k);
                         self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
                     }
                 }
-                UnitSeq::One(u) => {
-                    self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
-                }
-                // Neither kind waits for a reply, serialized or not.
-                UnitSeq::ComputeRun { count, .. } | UnitSeq::OverheadRun { count, .. } => {
-                    if count == 0 {
-                        continue;
-                    }
-                    st.advance_issue(count, width);
-                    stats.count_units(s.unit_at(0).kind, count as u64);
-                }
-                UnitSeq::LocalRun { count, .. } => {
-                    if count == 0 {
-                        continue;
-                    }
-                    if serialize_mem {
-                        // A serialized stream re-synchronizes on every
-                        // reply, so the cadence is strictly periodic: each
-                        // local reference advances the clock by
-                        // `max(1, local_latency)` and resets the issue
-                        // slot — the whole run collapses to closed form.
-                        // This is the NUMA bunch shape: `T` consecutive
-                        // local references of a sequential stream cost
-                        // O(1) timing work instead of O(T).
-                        if st.issued_this_cycle >= width {
-                            st.t += 1;
-                            st.issued_this_cycle = 0;
-                        }
-                        let period = self.local_latency.max(1);
-                        st.last_reply = st
-                            .last_reply
-                            .max(st.t + (count as u64 - 1) * period + self.local_latency);
-                        st.t += count as u64 * period;
-                        st.issued_this_cycle = 0;
-                        stats.count_units(UnitKind::MemLocal, count as u64);
-                    } else {
-                        // Replies are monotone in issue time, so only the
-                        // last lane's reply can extend the step.
-                        st.advance_issue(count, width);
-                        st.last_reply = st.last_reply.max(st.t + self.local_latency);
-                        stats.count_units(UnitKind::MemLocal, count as u64);
-                    }
-                }
                 UnitSeq::SharedRun {
-                    count,
                     node0,
                     node_step,
                     nodes,
                     ..
                 } => {
-                    if count == 0 {
-                        continue;
-                    }
-                    if serialize_mem {
-                        for k in 0..count {
-                            let u = s.unit_at(k);
-                            self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
-                        }
-                    } else if node_step == 0 {
+                    self.begin_run(&st, s, UnitKind::MemShared, width, trace, stats);
+                    if node_step == 0 {
                         // Every lane targets the same module (the
                         // bulk-multioperation shape): both routes repeat
                         // per message. Message 0 walks the router exactly;
@@ -429,7 +434,6 @@ impl GroupPipeline {
                             st.advance_issue(count - 1, width);
                         }
                         st.last_reply = st.last_reply.max(back + tail);
-                        stats.count_units(UnitKind::MemShared, count as u64);
                     } else {
                         let mut node = node0;
                         for _ in 0..count {
@@ -441,12 +445,41 @@ impl GroupPipeline {
                                 node -= nodes;
                             }
                         }
-                        stats.count_units(UnitKind::MemShared, count as u64);
                     }
                 }
             }
         }
         self.finish_step(st, start, issued_total, net, trace, stats)
+    }
+
+    /// Books a run that issues back to back from the cadence's next slot
+    /// on: its units in the statistics and, when the trace records, the
+    /// one [`TraceEvent`] run it is.
+    #[inline(always)]
+    fn begin_run(
+        &self,
+        st: &IssueState,
+        s: &UnitSeq,
+        kind: UnitKind,
+        width: usize,
+        trace: &mut Trace,
+        stats: &mut MachineStats,
+    ) {
+        stats.count_units(kind, s.len() as u64);
+        if trace.is_enabled() {
+            self.record_run(st, s, width, trace);
+        }
+    }
+
+    #[inline(never)]
+    fn record_run(&self, st: &IssueState, s: &UnitSeq, width: usize, trace: &mut Trace) {
+        let (cycle, slots) = st.next_slot(width);
+        let head = s.unit_at(0);
+        let head = TraceEvent::unit(cycle, self.group, head.flow, head.thread, head.kind);
+        trace.push(
+            TraceEvent::run(head, s.len() as u64, slots as u64, width as u64)
+                .expect("the cadence shapes a run"),
+        );
     }
 
     /// One shared-memory reference issued at `st.t`: the fused network
@@ -480,13 +513,12 @@ impl GroupPipeline {
         stats: &mut MachineStats,
     ) {
         st.begin_issue(width);
-        trace.push(TraceEvent {
-            cycle: st.t,
-            group: self.group,
-            flow: u.flow,
-            thread: u.thread,
-            kind: u.kind,
-        });
+        // Tested here, not only inside `push`: the record is an argument,
+        // and building it ahead of the test cost 1 ns a unit with the
+        // trace off.
+        if trace.is_enabled() {
+            trace.push(TraceEvent::unit(st.t, self.group, u.flow, u.thread, u.kind));
+        }
         stats.count_unit(u.kind);
         if u.kind == UnitKind::Bubble {
             return;
@@ -538,16 +570,9 @@ impl GroupPipeline {
             end = start + 1;
         }
         let drain = end - st.t.min(end);
-        if trace.is_enabled() {
-            for c in st.t..end {
-                trace.push(TraceEvent {
-                    cycle: c,
-                    group: self.group,
-                    flow: None,
-                    thread: None,
-                    kind: UnitKind::Bubble,
-                });
-            }
+        if drain > 0 && trace.is_enabled() {
+            let head = TraceEvent::unit(st.t, self.group, None, None, UnitKind::Bubble);
+            trace.push(TraceEvent::run(head, drain, 1, 1).expect("a bubble a cycle"));
         }
         stats.count_units(UnitKind::Bubble, drain);
         // `stats.steps` is owned by the machine driving the pipeline: a
@@ -586,6 +611,16 @@ impl IssueState {
             issued_this_cycle: 0,
             net: NetRun::default(),
             roundtrip: LatencyRun::default(),
+        }
+    }
+
+    /// Where the next unit issues: `(cycle, free slots on it)`.
+    #[inline]
+    fn next_slot(&self, width: usize) -> (u64, usize) {
+        if self.issued_this_cycle >= width {
+            (self.t + 1, width)
+        } else {
+            (self.t, width - self.issued_this_cycle)
         }
     }
 
@@ -703,9 +738,11 @@ mod tests {
         pipe().run_step(0, &units, false, &mut n, &mut tr, &mut s);
         assert_eq!(s.shared_refs, 1);
         assert_eq!(s.bubbles, 5);
-        assert_eq!(tr.events().len(), 6);
-        assert_eq!(tr.events()[0].flow, Some(7));
-        assert!(tr.events()[1..].iter().all(|e| e.kind == UnitKind::Bubble));
+        // One reference, then the five bubbles as one run.
+        let runs = tr.events();
+        assert_eq!((runs.len(), tr.len()), (2, 6));
+        assert_eq!((runs[0].flow, runs[0].count()), (Some(7), 1));
+        assert_eq!((runs[1].kind, runs[1].count()), (UnitKind::Bubble, 5));
     }
 
     #[test]
@@ -822,7 +859,12 @@ mod tests {
         net2.route_sends = 0;
         assert_eq!(net1, net2, "net stats diverged");
         assert_eq!(occupancy(&n1), occupancy(&n2), "occupancy diverged");
-        assert_eq!(t1.events(), t2.events(), "trace diverged");
+        // The per-unit recorder and the run recorder store the same runs,
+        // which say the same units.
+        assert!(t1.units().eq(t2.units()), "traced units diverged");
+        assert_eq!(t1.events(), t2.events(), "stored runs diverged");
+        let traced = s1.issued() + s1.bubbles + s1.overhead_cycles;
+        assert_eq!(t1.len(), if recording { traced } else { 0 });
         n2
     }
 
@@ -1108,12 +1150,141 @@ mod tests {
                             recording,
                         );
                         // The same-module runs took the closed form (on the
-                        // 32-hop ring route too) exactly when nothing
-                        // observed the individual units.
-                        let closed_form = !serialize && !recording;
-                        let expect = if closed_form { 2 * 2 * (40 + 1) } else { 0 };
+                        // 32-hop ring route too), recorded or not.
+                        let expect = if serialize { 0 } else { 2 * 2 * (40 + 1) };
                         assert_eq!(after.stats().route_sends, expect);
                     }
+                }
+            }
+        }
+    }
+
+    /// A random step list: all five `UnitSeq` kinds, every unit kind as a
+    /// single, run lengths 0, 1, 2, 3 (the wire's shortest run line) and
+    /// large; at `ilp_width` 4 most runs start mid-cycle.
+    fn random_steps(rng: &mut proptest::test_runner::TestRng) -> Vec<Vec<UnitSeq>> {
+        let nodes = 4;
+        let mut steps = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let mut seqs = Vec::new();
+            let mut thread0 = 0;
+            for _ in 0..rng.below(9) {
+                let flow = 1 + rng.below(2) as u32;
+                let count = [0, 1, 2, 3, 5, 64, 301][rng.below(7) as usize];
+                // Mostly carry the thread on, so neighbours can merge.
+                if rng.below(4) == 0 {
+                    thread0 = rng.below(3) as usize;
+                }
+                let single = |u| (UnitSeq::One(u), 1);
+                let (seq, len) = match rng.below(10) {
+                    0 => single(IssueUnit::compute(flow, thread0)),
+                    1 => single(IssueUnit::shared_mem(flow, thread0, rng.below(4) as usize)),
+                    2 => single(IssueUnit::local_mem(flow, thread0)),
+                    3 => single(IssueUnit::fetch(flow)),
+                    4 => single(if rng.below(2) == 0 {
+                        IssueUnit::overhead(flow)
+                    } else {
+                        IssueUnit::idle()
+                    }),
+                    5 | 6 => (
+                        UnitSeq::ComputeRun {
+                            flow,
+                            thread0,
+                            count,
+                        },
+                        count,
+                    ),
+                    7 => (
+                        UnitSeq::SharedRun {
+                            flow,
+                            thread0,
+                            count,
+                            node0: rng.below(nodes) as usize,
+                            node_step: rng.below(3) as usize,
+                            nodes: nodes as usize,
+                        },
+                        count,
+                    ),
+                    8 => (
+                        UnitSeq::LocalRun {
+                            flow,
+                            thread0,
+                            count,
+                        },
+                        count,
+                    ),
+                    _ => (UnitSeq::OverheadRun { flow, count }, 0),
+                };
+                thread0 += len;
+                seqs.push(seq);
+            }
+            steps.push(seqs);
+        }
+        steps
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `run_step_seq` records runs; the reference is the per-unit
+        /// recorder — `run_step` on the expanded units, one `push` per
+        /// unit. Same units, same stored runs, same counters, and a
+        /// bounded ring holds exactly the last `n` of them.
+        #[test]
+        fn recorded_runs_match_the_per_unit_recorder(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::test_runner::TestRng::seeded(seed);
+            let steps = random_steps(&mut rng);
+            for (ilp, serialize, local_latency) in [
+                (1, false, 1), (4, false, 1), (4, false, 3),
+                (1, true, 1), (4, true, 1), (1, true, 3),
+            ] {
+                let p = GroupPipeline::with_ilp(0, 2, local_latency, ilp);
+                let record = |mut trace: Trace, by_unit: bool| {
+                    let (mut n, mut s) = (net(), MachineStats::default());
+                    let mut start = 3;
+                    for seqs in &steps {
+                        let out = if by_unit {
+                            let units: Vec<IssueUnit> = seqs
+                                .iter()
+                                .flat_map(|s| (0..s.len()).map(move |k| s.unit_at(k)))
+                                .collect();
+                            p.run_step(start, &units, serialize, &mut n, &mut trace, &mut s)
+                        } else {
+                            p.run_step_seq(start, seqs, serialize, &mut n, &mut trace, &mut s)
+                        };
+                        start = out.end_cycle;
+                    }
+                    (trace, s, start)
+                };
+                let (reference, stats, end) = record(Trace::recording(), true);
+                let units: Vec<TraceEvent> = reference.units().collect();
+                for capacity in [None, Some(1), Some(7), Some(64)] {
+                    let mk = || capacity.map_or_else(Trace::recording, Trace::ring);
+                    let (got, got_stats, got_end) = record(mk(), false);
+                    proptest::prop_assert_eq!((got_stats, got_end), (stats, end));
+                    let kept = capacity.map_or(units.len(), |c| c.min(units.len()));
+                    let window = &units[units.len() - kept..];
+                    proptest::prop_assert!(
+                        got.units().eq(window.iter().copied()),
+                        "units of the ring, capacity {:?}", capacity
+                    );
+                    proptest::prop_assert_eq!(got.len(), kept as u64);
+                    proptest::prop_assert_eq!(got.dropped(), (units.len() - kept) as u64);
+                    proptest::prop_assert_eq!(got.next_seq(), units.len() as u64);
+                    let busy = window.iter().filter(|u| u.kind.is_issue()).count();
+                    proptest::prop_assert_eq!(got.busy_cycles(0), busy as u64);
+                    // The stored runs are the greedy-maximal ones: none
+                    // takes a unit of its successor. (A front run the ring
+                    // has trimmed is a suffix, not a run as recorded.)
+                    let runs = got.events();
+                    let trimmed = usize::from(got.dropped() > 0);
+                    for pair in runs[trimmed.min(runs.len())..].windows(2) {
+                        let mut a = pair[0];
+                        proptest::prop_assert_eq!(a.absorb(pair[1]), Some(pair[1]));
+                    }
+                    // And they are the per-unit recorder's, to the record.
+                    let (by_unit, _, _) = record(mk(), true);
+                    proptest::prop_assert_eq!(by_unit.events(), runs);
                 }
             }
         }

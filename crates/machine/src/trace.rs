@@ -1,7 +1,7 @@
 //! Execution traces — re-exported from `tcf-obs`.
 //!
-//! The trace model (per-cycle issue records, Gantt rendering, CSV export,
-//! ring-buffer mode) lives in the [`tcf_obs`] observability crate so that
+//! The trace model (issue records stored as runs, Gantt rendering, CSV
+//! export, ring-buffer mode) lives in the [`tcf_obs`] observability crate so that
 //! every layer of the stack shares one vocabulary; this module re-exports
 //! it under the historical `tcf_machine::trace` paths so existing callers
 //! keep compiling.
@@ -17,13 +17,13 @@ mod tests {
     #[test]
     fn reexported_trace_is_usable() {
         let mut t = Trace::recording();
-        t.push(TraceEvent {
-            cycle: 0,
-            group: 0,
-            flow: Some(1 as FlowTag),
-            thread: None,
-            kind: UnitKind::Compute,
-        });
+        t.push(TraceEvent::unit(
+            0,
+            0,
+            Some(1 as FlowTag),
+            None,
+            UnitKind::Compute,
+        ));
         assert_eq!(t.events().len(), 1);
         assert_eq!(UnitKind::Compute.glyph(), '#');
         assert_eq!(UnitKind::FlowOverhead.as_str(), "overhead");

@@ -6,7 +6,8 @@
 //! * **pid 0 — "groups"**: one track per processor group. Consecutive
 //!   cycles with the same issue kind and flow are merged into one complete
 //!   (`ph: "X"`) span named by [`UnitKind::as_str`], with the flow in
-//!   `args`.
+//!   `args`. The trace arrives as runs and a span is computed per run,
+//!   not per unit.
 //! * **pid 1 — "flows"**: one track per flow, carrying the lifecycle
 //!   spans — `spawn`, `split`, `join`, `mode_switch`, `thickness`,
 //!   `reload`, `halt`, and `wait` spans stretched between matching
@@ -16,11 +17,12 @@
 //! µs in the trace_event format). High-volume bookkeeping events (`Fetch`,
 //! `Spill`, `StepEnd`) are deliberately not exported.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 
 use crate::event::{FlowEvent, TimedEvent};
-use crate::trace::{FlowTag, TraceEvent};
+use crate::trace::{FlowTag, TraceEvent, UnitKind};
 
 /// One complete (`ph: "X"`) span before serialization.
 struct Span<'a> {
@@ -77,6 +79,110 @@ fn push_meta(
     );
 }
 
+/// One group's issue track being written: the units of the group in
+/// cycle order (ties in recording order), with consecutive cycles of one
+/// kind and flow merged into one span. Units that share a cycle — an
+/// `ilp_width > 1` run — are a span each, so such a run costs its output;
+/// a one-per-cycle run costs O(1).
+struct GroupTrack<'a> {
+    out: &'a mut String,
+    first: &'a mut bool,
+    tid: u64,
+    /// The span still growing: `(first cycle, last cycle, kind, flow)`.
+    open: Option<(u64, u64, UnitKind, Option<FlowTag>)>,
+}
+
+impl GroupTrack<'_> {
+    fn flush(&mut self) {
+        let Some((ts, end, kind, flow)) = self.open.take() else {
+            return;
+        };
+        let args = flow.map(|f| ("flow", f.to_string()));
+        push_span(
+            self.out,
+            self.first,
+            &Span {
+                pid: 0,
+                tid: self.tid,
+                ts,
+                dur: end - ts + 1,
+                name: kind.as_str(),
+                args: args.into_iter().collect(),
+            },
+        );
+    }
+
+    /// `len` units, one per cycle from `cycle` on.
+    fn chain(&mut self, cycle: u64, len: u64, kind: UnitKind, flow: Option<FlowTag>) {
+        match &mut self.open {
+            Some((_, end, k, f))
+                if (*k, *f) == (kind, flow) && end.checked_add(1) == Some(cycle) =>
+            {
+                *end += len;
+            }
+            _ => {
+                self.flush();
+                self.open = Some((cycle, cycle + (len - 1), kind, flow));
+            }
+        }
+    }
+
+    /// `n` units on one cycle: only the first can continue a span and
+    /// only the last can be continued.
+    fn row(&mut self, cycle: u64, n: u64, kind: UnitKind, flow: Option<FlowTag>) {
+        self.chain(cycle, 1, kind, flow);
+        for _ in 1..n {
+            self.flush();
+            self.open = Some((cycle, cycle, kind, flow));
+        }
+    }
+
+    fn run(&mut self, r: &TraceEvent) {
+        self.row(r.cycle, r.first(), r.kind, r.flow);
+        let mut left = r.count() - r.first();
+        if left > 0 && r.width() == 1 {
+            self.chain(r.cycle + 1, left, r.kind, r.flow);
+            return;
+        }
+        let mut cycle = r.cycle;
+        while left > 0 {
+            cycle += 1;
+            let n = left.min(r.width());
+            self.row(cycle, n, r.kind, r.flow);
+            left -= n;
+        }
+    }
+
+    /// Writes the track of `runs` (one group's, in recording order). The
+    /// machine records a group's runs in cycle order and each is then
+    /// taken whole; runs a document put out of order or on overlapping
+    /// cycles are cut where another run's units sort in between.
+    fn spans(&mut self, mut runs: Vec<TraceEvent>) {
+        let mut next: BinaryHeap<Reverse<(u64, usize)>> = runs
+            .iter()
+            .enumerate()
+            .map(|(seq, r)| Reverse((r.cycle, seq)))
+            .collect();
+        while let Some(Reverse((_, seq))) = next.pop() {
+            let run = runs[seq];
+            // Units of `run` that sort before the next run's first unit.
+            let n = match next.peek() {
+                None => run.count(),
+                Some(&Reverse((cycle, other))) if seq < other => cycle
+                    .checked_add(1)
+                    .map_or(run.count(), |c| run.units_before(c)),
+                Some(&Reverse((cycle, _))) => run.units_before(cycle),
+            };
+            self.run(&run.prefix(n));
+            if n < run.count() {
+                runs[seq] = run.suffix(n);
+                next.push(Reverse((runs[seq].cycle, seq)));
+            }
+        }
+        self.flush();
+    }
+}
+
 /// Renders a trace and a flow-event stream as a Chrome `trace_event` JSON
 /// document (`{"traceEvents": [...]}`).
 pub fn chrome_trace(trace: &[TraceEvent], events: &[TimedEvent]) -> String {
@@ -128,54 +234,27 @@ pub fn chrome_trace_with_workers(
     }
 
     // --- pid 0: per-group issue tracks -------------------------------
-    let mut groups: BTreeMap<usize, Vec<&TraceEvent>> = BTreeMap::new();
+    let mut groups: BTreeMap<usize, Vec<TraceEvent>> = BTreeMap::new();
     for e in trace {
-        groups.entry(e.group).or_default().push(e);
+        groups.entry(e.group).or_default().push(*e);
     }
     push_meta(&mut out, &mut first, 0, None, "process_name", "groups");
-    for (g, evs) in &mut groups {
+    for (g, runs) in groups {
         push_meta(
             &mut out,
             &mut first,
             0,
-            Some(*g as u64),
+            Some(g as u64),
             "thread_name",
             &format!("group {g}"),
         );
-        evs.sort_by_key(|e| e.cycle);
-        // Merge consecutive cycles with identical (kind, flow) into one
-        // span.
-        let mut i = 0;
-        while i < evs.len() {
-            let start = evs[i];
-            let mut end_cycle = start.cycle;
-            let mut j = i + 1;
-            while j < evs.len()
-                && evs[j].kind == start.kind
-                && evs[j].flow == start.flow
-                && evs[j].cycle == end_cycle + 1
-            {
-                end_cycle = evs[j].cycle;
-                j += 1;
-            }
-            let mut args = Vec::new();
-            if let Some(f) = start.flow {
-                args.push(("flow", f.to_string()));
-            }
-            push_span(
-                &mut out,
-                &mut first,
-                &Span {
-                    pid: 0,
-                    tid: *g as u64,
-                    ts: start.cycle,
-                    dur: end_cycle - start.cycle + 1,
-                    name: start.kind.as_str(),
-                    args,
-                },
-            );
-            i = j;
-        }
+        let mut track = GroupTrack {
+            out: &mut out,
+            first: &mut first,
+            tid: g as u64,
+            open: None,
+        };
+        track.spans(runs);
     }
 
     // --- pid 1: per-flow lifecycle tracks ----------------------------
@@ -331,16 +410,9 @@ mod tests {
     use super::*;
     use crate::event::Mode;
     use crate::json::validate_json;
-    use crate::trace::UnitKind;
 
     fn unit(cycle: u64, flow: Option<FlowTag>, kind: UnitKind) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            group: 0,
-            flow,
-            thread: None,
-            kind,
-        }
+        TraceEvent::unit(cycle, 0, flow, None, kind)
     }
 
     fn timed(cycle: u64, event: FlowEvent) -> TimedEvent {

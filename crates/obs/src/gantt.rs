@@ -1,37 +1,40 @@
 //! ASCII Gantt rendering of trace event streams.
 //!
-//! Factored out of [`crate::Trace`] so any event slice — a live trace, a
-//! ring-buffer window, or a stream re-read from CSV/JSON — renders the
-//! same single-processor view.
+//! Factored out of [`crate::Trace`] so any list of runs — a live trace, a
+//! ring-buffer window, or a stream re-read from NDJSON — renders the same
+//! single-processor view.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::trace::{FlowTag, TraceEvent, UnitKind};
 
-/// Renders the Gantt strip of one group from an event slice.
+/// Renders the Gantt strip of one group from a list of runs.
 ///
 /// One row per flow (plus an idle row for bubbles), one column per cycle;
 /// each cell is the [`UnitKind::glyph`] of what the slot executed. Cycles
-/// are clipped to the window actually present in `events`.
+/// are clipped to the window actually present in `events`. The strip has
+/// a cell per unit, so this walks [`TraceEvent::units`].
 pub fn render(events: &[TraceEvent], group: usize) -> String {
     let events: Vec<&TraceEvent> = events.iter().filter(|e| e.group == group).collect();
     if events.is_empty() {
         return format!("group {group}: (no events)\n");
     }
     let t0 = events.iter().map(|e| e.cycle).min().unwrap();
-    let t1 = events.iter().map(|e| e.cycle).max().unwrap();
+    let t1 = events.iter().map(|e| e.last_cycle()).max().unwrap();
     let width = (t1 - t0 + 1) as usize;
 
     let mut rows: BTreeMap<Option<FlowTag>, Vec<char>> = BTreeMap::new();
-    for e in &events {
-        let key = if e.kind == UnitKind::Bubble {
+    for run in &events {
+        let key = if run.kind == UnitKind::Bubble {
             None
         } else {
-            e.flow
+            run.flow
         };
-        rows.entry(key).or_insert_with(|| vec![' '; width])[(e.cycle - t0) as usize] =
-            e.kind.glyph();
+        let cells = rows.entry(key).or_insert_with(|| vec![' '; width]);
+        for e in run.units() {
+            cells[(e.cycle - t0) as usize] = e.kind.glyph();
+        }
     }
 
     let mut out = String::new();
@@ -51,13 +54,7 @@ mod tests {
     use super::*;
 
     fn ev(cycle: u64, group: usize, flow: Option<FlowTag>, kind: UnitKind) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            group,
-            flow,
-            thread: None,
-            kind,
-        }
+        TraceEvent::unit(cycle, group, flow, None, kind)
     }
 
     #[test]

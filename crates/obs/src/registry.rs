@@ -156,8 +156,8 @@ impl MetricsRegistry {
         &mut self.snapshots
     }
 
-    /// Rebuilds the `machine.*` counters from recorded streams: per-cycle
-    /// issue records (`trace`) plus the flow-event stream (`events`).
+    /// Rebuilds the `machine.*` counters from recorded streams: the
+    /// issue-slot runs (`trace`) plus the flow-event stream (`events`).
     ///
     /// Issue kinds map to their counters (compute → `machine.compute_ops`,
     /// shared → `machine.shared_refs`, …); `Fetch` and `Spill` flow events
@@ -165,57 +165,74 @@ impl MetricsRegistry {
     /// accounting never occupy an issue slot of their own); `StepEnd`
     /// events drive `machine.steps` / `machine.cycles` and close one
     /// [`StepSnapshot`] each. Both streams must be complete (recorded
-    /// unbounded, not through a ring).
+    /// unbounded, not through a ring). A run adds its count to its kind's
+    /// counter; one that straddles a `StepEnd` cycle is split there by
+    /// arithmetic, so the cost is O(runs + steps).
     pub fn replay(trace: &[TraceEvent], events: &[TimedEvent]) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for name in [
-            "machine.steps",
-            "machine.cycles",
-            "machine.compute_ops",
-            "machine.shared_refs",
-            "machine.local_refs",
-            "machine.fetches",
-            "machine.bubbles",
-            "machine.overhead_cycles",
-            "machine.spill_refs",
-        ] {
-            reg.set_counter(name, 0);
-        }
-        // Two cursors: flow events are globally ordered; trace events are
+        // One slot per issue kind (`kind as usize`), then the spill count.
+        const SPILL: usize = 6;
+        let mut counts = [0u64; SPILL + 1];
+        let series = |counts: &[u64; SPILL + 1], steps: u64, cycles: u64| {
+            let of = |kind: UnitKind| counts[kind as usize];
+            [
+                ("machine.steps", steps),
+                ("machine.cycles", cycles),
+                ("machine.compute_ops", of(UnitKind::Compute)),
+                ("machine.shared_refs", of(UnitKind::MemShared)),
+                ("machine.local_refs", of(UnitKind::MemLocal)),
+                ("machine.fetches", of(UnitKind::Fetch)),
+                ("machine.bubbles", of(UnitKind::Bubble)),
+                ("machine.overhead_cycles", of(UnitKind::FlowOverhead)),
+                ("machine.spill_refs", counts[SPILL]),
+            ]
+        };
+        // Two cursors: flow events are globally ordered; trace units are
         // ordered per step (cycles of step k all precede the StepEnd cycle
-        // of step k), so the trace cursor is advanced at each StepEnd to
-        // keep snapshots cumulative and exact.
-        let mut ti = 0;
-        let mut drain_trace_until = |reg: &mut MetricsRegistry, limit: Option<u64>| {
-            while ti < trace.len() && limit.is_none_or(|c| trace[ti].cycle < c) {
-                let name = match trace[ti].kind {
-                    UnitKind::Compute => "machine.compute_ops",
-                    UnitKind::MemShared => "machine.shared_refs",
-                    UnitKind::MemLocal => "machine.local_refs",
-                    UnitKind::Fetch => "machine.fetches",
-                    UnitKind::Bubble => "machine.bubbles",
-                    UnitKind::FlowOverhead => "machine.overhead_cycles",
-                };
-                reg.add_counter(name, 1);
+        // of step k), so the trace cursor — a run and how many of its
+        // units are already counted — is advanced at each StepEnd to keep
+        // snapshots cumulative and exact.
+        let (mut ti, mut counted) = (0, 0);
+        let mut drain_trace_until = |counts: &mut [u64; SPILL + 1], limit: Option<u64>| {
+            while let Some(run) = trace.get(ti) {
+                // (`max`: a document may put a later StepEnd on an earlier
+                // cycle, which counts nothing.)
+                let upto = limit
+                    .map_or(run.count(), |c| run.units_before(c))
+                    .max(counted);
+                counts[run.kind as usize] += upto - counted;
+                if upto < run.count() {
+                    counted = upto;
+                    return;
+                }
                 ti += 1;
+                counted = 0;
             }
         };
+        let mut reg = MetricsRegistry::new();
+        let (mut steps, mut cycles) = (0, 0);
         for ev in events {
             match ev.event {
-                FlowEvent::Fetch { .. } => reg.add_counter("machine.fetches", 1),
-                FlowEvent::Spill { lanes, .. } => {
-                    reg.add_counter("machine.spill_refs", lanes as u64)
-                }
+                FlowEvent::Fetch { .. } => counts[UnitKind::Fetch as usize] += 1,
+                FlowEvent::Spill { lanes, .. } => counts[SPILL] += lanes as u64,
                 FlowEvent::StepEnd { step, cycle } => {
-                    drain_trace_until(&mut reg, Some(cycle));
-                    reg.set_counter("machine.steps", step);
-                    reg.set_counter("machine.cycles", cycle);
-                    reg.record_snapshot(step, cycle);
+                    drain_trace_until(&mut counts, Some(cycle));
+                    (steps, cycles) = (step, cycle);
+                    reg.snapshots.push(StepSnapshot {
+                        step,
+                        cycle,
+                        values: series(&counts, steps, cycles)
+                            .into_iter()
+                            .map(|(name, v)| (name.to_string(), v))
+                            .collect(),
+                    });
                 }
                 _ => {}
             }
         }
-        drain_trace_until(&mut reg, None);
+        drain_trace_until(&mut counts, None);
+        for (name, v) in series(&counts, steps, cycles) {
+            reg.set_counter(name, v);
+        }
         reg
     }
 }
@@ -226,13 +243,7 @@ mod tests {
     use crate::trace::FlowTag;
 
     fn unit(cycle: u64, kind: UnitKind) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            group: 0,
-            flow: Some(1 as FlowTag),
-            thread: None,
-            kind,
-        }
+        TraceEvent::unit(cycle, 0, Some(1 as FlowTag), None, kind)
     }
 
     fn timed(step: u64, cycle: u64, event: FlowEvent) -> TimedEvent {

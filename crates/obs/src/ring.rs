@@ -1,10 +1,17 @@
 //! A bounded (or unbounded) event buffer.
 //!
-//! Long simulations emit millions of per-cycle records; observability must
-//! not change the asymptotics of a run. [`RingBuffer`] therefore supports a
+//! Long simulations emit millions of records; observability must not
+//! change the asymptotics of a run. [`RingBuffer`] therefore supports a
 //! fixed capacity: once full, the oldest entries are dropped (and counted),
 //! keeping memory constant while the most recent window stays inspectable —
 //! the mode `tdbg` and long sweeps use.
+//!
+//! This buffer holds one entry per event and serves the flow-event sink
+//! ([`crate::ObsSink`]). The cycle trace keeps the same contract —
+//! sequence numbers, capacity, `dropped` and `missed` — but counts them in
+//! *units* while storing *runs*, so it carries its own ring
+//! ([`crate::Trace`]): eviction there trims the front of a run and a
+//! cursor may point into one. [`Drained`] is the result type of both.
 //!
 //! Every entry also carries an implicit monotonic **sequence number**: the
 //! first entry ever pushed is seq 0, and eviction never renumbers. A

@@ -4,7 +4,7 @@
 //! [`StreamCursor`] into the trace and flow-event buffers and periodically
 //! appends everything new as newline-delimited JSON (`tcf-obs-stream/v2`).
 //! The format round-trips: [`parse_stream`] reconstructs the exact
-//! `TraceEvent`/`TimedEvent` sequences, so a streamed run replayed through
+//! [`TraceEvent`]/`TimedEvent` sequences, so a streamed run replayed through
 //! the batch exporters (`crate::chrome`, `MetricsRegistry::replay`) is
 //! byte-identical to a non-streamed run's artifacts — the contract
 //! `repro --stream` and its round-trip test hold.
@@ -21,18 +21,21 @@
 //! {"t":"drop","stream":"trace","missed":128}
 //! ```
 //!
-//! `trun` and `brun` are run-length–compressed trace lines (new in v2):
-//! a traced thick step expands each compute run to one unit per lane
-//! (the PR 4 run-length contract), so the wire would otherwise carry ~1k
-//! near-identical `trace` lines per machine step — the dominant cost of
-//! the `obs_overhead_stream` bench. A `trun` covers `count` consecutive
-//! events sharing group/flow/kind, with threads `thread0..thread0+count`
-//! and the issue cadence's cycle shape: `first` events on `cycle`, then
-//! `width` per following cycle. A `brun` covers `count` flow-less events
-//! (drain bubbles) one cycle apart. [`parse_stream`] re-expands both to
-//! the exact per-event sequence, so replay artifacts are unchanged; the
-//! writer emits a run only when the events match those shapes exactly,
-//! falling back to plain `trace` lines otherwise.
+//! `trun` and `brun` are run lines (new in v2), and they are the trace's
+//! own records: the recorder stores a thick instruction's issue as one
+//! [`TraceEvent`] run ([`TraceEvent::absorb`] is the merge rule), and the
+//! writer puts one stored run on one line — nothing is matched or
+//! expanded on the way out or on the way in. A `trun` is a run with a flow
+//! and threads: `count` units sharing group/flow/kind, on threads
+//! `thread0..thread0+count`, in the issue cadence's cycle shape — `first`
+//! units on `cycle`, then `width` per following cycle. A `brun` is a
+//! flow-less, thread-less run (drain bubbles), one unit per cycle. A run
+//! of fewer than three units, or of a flow without threads (fetches,
+//! overhead cycles — v2 has no line for those), goes out as one plain
+//! `trace` line per unit. [`parse_stream`] pushes every line through the
+//! same merge, so what it returns is what the streamed machine stored,
+//! however the drains cut a growing run into lines; a run line whose
+//! numbers do not describe a run is an error.
 //!
 //! `drop` lines make ring-buffer truncation explicit on the wire: a
 //! subscriber that fell behind a bounded sink learns exactly how many
@@ -57,11 +60,12 @@ pub const STREAM_SCHEMA: &str = "tcf-obs-stream/v2";
 /// evicted unseen.
 pub const DRAIN_INTERVAL_STEPS: u64 = 32;
 
-/// A subscriber's position in both event buffers. Start at
-/// [`StreamCursor::default`] to stream from the beginning of a run.
+/// A subscriber's position in both event buffers, the trace's counted in
+/// units. Start at [`StreamCursor::default`] to stream from the beginning
+/// of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCursor {
-    /// Next trace-event sequence number wanted.
+    /// Next trace-unit sequence number wanted.
     pub trace: u64,
     /// Next flow-event sequence number wanted.
     pub events: u64,
@@ -142,170 +146,70 @@ impl LineBuf {
     }
 }
 
-/// Appends one trace event to `out` as an NDJSON line (newline included).
+/// Shortest run worth a `trun`/`brun` line: below this, plain `trace`
+/// lines are no longer on the wire than the run encoding.
+const MIN_RUN: u64 = 3;
+
+/// Appends one stored run to `out`: a `trun` line for a run with a flow
+/// and threads, a `brun` line for a flow-less thread-less one, and one
+/// plain `trace` line per unit for a run of fewer than three units or of a
+/// kind v2 has no run line for (a flow without threads: fetches,
+/// overhead). Every line ends in a newline.
 pub fn write_trace_line(out: &mut String, e: &TraceEvent) {
     let mut l = LineBuf::new();
-    l.lit("{\"t\":\"trace\",\"cycle\":");
-    l.num(e.cycle);
-    l.lit(",\"group\":");
-    l.num(e.group as u64);
-    l.lit(",\"flow\":");
-    l.opt(e.flow.map(u64::from));
-    l.lit(",\"thread\":");
-    l.opt(e.thread.map(|t| t as u64));
+    match (e.flow, e.thread) {
+        (Some(flow), Some(thread0)) if e.count() >= MIN_RUN => {
+            l.lit("{\"t\":\"trun\",\"cycle\":");
+            l.num(e.cycle);
+            l.lit(",\"group\":");
+            l.num(e.group as u64);
+            l.lit(",\"flow\":");
+            l.num(u64::from(flow));
+            l.lit(",\"thread0\":");
+            l.num(thread0 as u64);
+            l.lit(",\"count\":");
+            l.num(e.count());
+            l.lit(",\"first\":");
+            l.num(e.first());
+            l.lit(",\"width\":");
+            l.num(e.width());
+        }
+        (None, None) if e.count() >= MIN_RUN => {
+            l.lit("{\"t\":\"brun\",\"cycle\":");
+            l.num(e.cycle);
+            l.lit(",\"group\":");
+            l.num(e.group as u64);
+            l.lit(",\"count\":");
+            l.num(e.count());
+        }
+        _ if e.count() > 1 => {
+            for unit in e.units() {
+                write_trace_line(out, &unit);
+            }
+            return;
+        }
+        _ => {
+            l.lit("{\"t\":\"trace\",\"cycle\":");
+            l.num(e.cycle);
+            l.lit(",\"group\":");
+            l.num(e.group as u64);
+            l.lit(",\"flow\":");
+            l.opt(e.flow.map(u64::from));
+            l.lit(",\"thread\":");
+            l.opt(e.thread.map(|t| t as u64));
+        }
+    }
     l.lit(",\"kind\":\"");
     l.lit(e.kind.as_str());
     l.lit("\"}\n");
     l.flush(out);
 }
 
-/// Encodes one trace event as an NDJSON line (newline included).
+/// Encodes one stored run as its NDJSON line or lines.
 pub fn trace_line(e: &TraceEvent) -> String {
     let mut out = String::new();
     write_trace_line(&mut out, e);
     out
-}
-
-/// Shortest run worth a `trun`/`brun` line: below this, plain `trace`
-/// lines are no longer on the wire than the run encoding.
-const MIN_RUN: usize = 3;
-
-/// Matches the longest prefix of `evs` that a single `trun` line can
-/// carry: constant group/flow/kind, threads ascending by one, and the
-/// issue cadence's cycle shape — some events on the first cycle, then a
-/// constant number per following cycle (the last cycle may be partial).
-/// Returns `(count, first, width)`, or `None` when the prefix is shorter
-/// than [`MIN_RUN`].
-fn unit_run(evs: &[&TraceEvent]) -> Option<(usize, usize, usize)> {
-    let e0 = evs[0];
-    let (flow, t0) = (e0.flow?, e0.thread?);
-    let mut first: Option<usize> = None;
-    let mut width: Option<usize> = None;
-    let mut cycle = e0.cycle;
-    let mut in_cycle = 1usize;
-    let mut n = 1usize;
-    for e in &evs[1..] {
-        if e.group != e0.group
-            || e.kind != e0.kind
-            || e.flow != Some(flow)
-            || e.thread != Some(t0 + n)
-        {
-            break;
-        }
-        if e.cycle == cycle {
-            // A middle/final cycle never holds more than `width` events.
-            if width == Some(in_cycle) {
-                break;
-            }
-            in_cycle += 1;
-        } else if e.cycle == cycle + 1 {
-            match (first, width) {
-                (None, _) => first = Some(in_cycle),
-                (Some(_), None) => width = Some(in_cycle),
-                (Some(_), Some(w)) if in_cycle == w => {}
-                // A short middle cycle can only be the run's last; end
-                // the run there and let the next line start fresh.
-                _ => break,
-            }
-            cycle = e.cycle;
-            in_cycle = 1;
-        } else {
-            break;
-        }
-        n += 1;
-    }
-    if n < MIN_RUN {
-        return None;
-    }
-    let first = first.unwrap_or(n);
-    let width = width.unwrap_or_else(|| (n - first).max(1));
-    Some((n, first, width))
-}
-
-/// Matches the longest prefix of `evs` that a single `brun` line can
-/// carry: flow-less, thread-less events (drain bubbles) with constant
-/// group/kind, one cycle apart. Returns the count, or `None` when the
-/// prefix is shorter than [`MIN_RUN`].
-fn gap_run(evs: &[&TraceEvent]) -> Option<usize> {
-    let e0 = evs[0];
-    if e0.flow.is_some() || e0.thread.is_some() {
-        return None;
-    }
-    let mut n = 1usize;
-    for e in &evs[1..] {
-        if e.group != e0.group
-            || e.kind != e0.kind
-            || e.flow.is_some()
-            || e.thread.is_some()
-            || e.cycle != e0.cycle + n as u64
-        {
-            break;
-        }
-        n += 1;
-    }
-    (n >= MIN_RUN).then_some(n)
-}
-
-fn write_trace_run_line(
-    out: &mut String,
-    e: &TraceEvent,
-    count: usize,
-    first: usize,
-    width: usize,
-) {
-    let mut l = LineBuf::new();
-    l.lit("{\"t\":\"trun\",\"cycle\":");
-    l.num(e.cycle);
-    l.lit(",\"group\":");
-    l.num(e.group as u64);
-    l.lit(",\"flow\":");
-    l.num(u64::from(e.flow.expect("trun events carry a flow")));
-    l.lit(",\"thread0\":");
-    l.num(e.thread.expect("trun events carry a thread") as u64);
-    l.lit(",\"count\":");
-    l.num(count as u64);
-    l.lit(",\"first\":");
-    l.num(first as u64);
-    l.lit(",\"width\":");
-    l.num(width as u64);
-    l.lit(",\"kind\":\"");
-    l.lit(e.kind.as_str());
-    l.lit("\"}\n");
-    l.flush(out);
-}
-
-fn write_gap_run_line(out: &mut String, e: &TraceEvent, count: usize) {
-    let mut l = LineBuf::new();
-    l.lit("{\"t\":\"brun\",\"cycle\":");
-    l.num(e.cycle);
-    l.lit(",\"group\":");
-    l.num(e.group as u64);
-    l.lit(",\"count\":");
-    l.num(count as u64);
-    l.lit(",\"kind\":\"");
-    l.lit(e.kind.as_str());
-    l.lit("\"}\n");
-    l.flush(out);
-}
-
-/// Encodes a batch of trace events, run-compressing where the shapes
-/// allow and falling back to per-event `trace` lines elsewhere. The
-/// emitted lines parse back to exactly `evs`.
-fn write_trace_items<'a>(out: &mut String, items: impl Iterator<Item = &'a TraceEvent>) {
-    let evs: Vec<&TraceEvent> = items.collect();
-    let mut i = 0;
-    while i < evs.len() {
-        if let Some((n, first, width)) = unit_run(&evs[i..]) {
-            write_trace_run_line(out, evs[i], n, first, width);
-            i += n;
-        } else if let Some(n) = gap_run(&evs[i..]) {
-            write_gap_run_line(out, evs[i], n);
-            i += n;
-        } else {
-            write_trace_line(out, evs[i]);
-            i += 1;
-        }
-    }
 }
 
 impl LineBuf {
@@ -428,15 +332,19 @@ pub fn drop_line(stream: &str, missed: u64) -> String {
 /// NDJSON lines (trace events first, then flow events, each stream in
 /// order), advancing the cursor. Evictions the subscriber missed surface
 /// as `drop` lines. This is the pump of `repro --stream`, called every
-/// [`DRAIN_INTERVAL_STEPS`] steps (plus once after the run); events are
-/// walked by reference ([`Trace::view_from`]) and encoded straight into
-/// `out`, so the pump allocates nothing beyond `out`'s own growth.
+/// [`DRAIN_INTERVAL_STEPS`] steps (plus once after the run); the new runs
+/// are walked in place ([`Trace::view_from`]; a tail run that grew since
+/// the last drain gives the part the cursor has not seen) and encoded
+/// straight into `out`, so the pump costs the lines it writes and
+/// allocates nothing beyond `out`'s own growth.
 pub fn drain_ndjson(trace: &Trace, obs: &ObsSink, cursor: &mut StreamCursor, out: &mut String) {
     let (items, next, missed) = trace.view_from(cursor.trace);
     if missed > 0 {
         write_drop_line(out, "trace", missed);
     }
-    write_trace_items(out, items);
+    for run in items {
+        write_trace_line(out, &run);
+    }
     cursor.trace = next;
 
     let (items, next, missed) = obs.view_from(cursor.events);
@@ -453,194 +361,238 @@ pub fn drain_ndjson(trace: &Trace, obs: &ObsSink, cursor: &mut StreamCursor, out
 /// totals its `drop` lines reported.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamReassembly {
-    /// Trace events, in stream order.
+    /// The trace as stored runs, in stream order — what
+    /// [`Trace::events`] of the streamed machine returns, however the
+    /// drains cut the runs into lines.
     pub trace: Vec<TraceEvent>,
     /// Flow events, in stream order.
     pub events: Vec<TimedEvent>,
-    /// Trace events the stream declared dropped.
+    /// Trace units the stream declared dropped.
     pub trace_dropped: u64,
     /// Flow events the stream declared dropped.
     pub events_dropped: u64,
 }
 
-/// Extracts the raw text of `"key":<value>` from one NDJSON line.
-/// Values in this schema are numbers, `null`, or bare identifier strings
-/// (event/kind/mode names — never escaped), so a scan suffices.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(&rest[..end])
+/// Most fields a line of this schema carries (`trun` has nine).
+const MAX_FIELDS: usize = 12;
+
+/// One NDJSON line split into its `"key":value` pairs in a single pass,
+/// without allocating. Values in this schema are numbers, `null`, or bare
+/// identifier strings (event/kind/mode names — never escaped), so a
+/// scan suffices; a string value is held without its quotes.
+struct Fields<'a> {
+    line: &'a str,
+    pairs: [(&'a str, &'a str); MAX_FIELDS],
+    len: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn scan(line: &'a str) -> Result<Fields<'a>, String> {
+        let bad = || format!("malformed line: {line}");
+        let mut rest = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|l| l.strip_suffix('}'))
+            .ok_or_else(bad)?;
+        let mut fields = Fields {
+            line,
+            pairs: [("", ""); MAX_FIELDS],
+            len: 0,
+        };
+        while !rest.is_empty() {
+            let (key, after) = rest
+                .strip_prefix('"')
+                .and_then(|r| r.split_once("\":"))
+                .ok_or_else(bad)?;
+            let (value, after) = match after.strip_prefix('"') {
+                Some(quoted) => {
+                    let (value, after) = quoted.split_once('"').ok_or_else(bad)?;
+                    match after.strip_prefix(',') {
+                        Some(more) if !more.is_empty() => (value, more),
+                        None if after.is_empty() => (value, after),
+                        _ => return Err(bad()),
+                    }
+                }
+                None => match after.split_once(',') {
+                    Some((value, more)) if !more.is_empty() => (value, more),
+                    None => (after, ""),
+                    _ => return Err(bad()),
+                },
+            };
+            if fields.len == MAX_FIELDS {
+                return Err(bad());
+            }
+            fields.pairs[fields.len] = (key, value);
+            fields.len += 1;
+            rest = after;
+        }
+        Ok(fields)
+    }
+
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs[..self.len]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing \"{key}\" in: {}", self.line))
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("missing or bad \"{key}\" in: {}", self.line))
+    }
+
+    fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
+        match self.str(key)? {
+            "null" => Ok(None),
+            v => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad \"{key}\" in: {}", self.line)),
+        }
+    }
+
+    fn flow(&self) -> Result<u32, String> {
+        self.opt_u32("flow")?
+            .ok_or_else(|| format!("null \"flow\" in: {}", self.line))
+    }
+
+    fn kind(&self) -> Result<UnitKind, String> {
+        UnitKind::from_name(self.str("kind")?)
+            .ok_or_else(|| format!("bad \"kind\" in: {}", self.line))
     }
 }
 
-fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    raw_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("missing or bad \"{key}\" in: {line}"))
-}
-
-fn usize_field(line: &str, key: &str) -> Result<usize, String> {
-    raw_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("missing or bad \"{key}\" in: {line}"))
-}
-
-fn opt_u32_field(line: &str, key: &str) -> Result<Option<u32>, String> {
-    match raw_field(line, key) {
-        None => Err(format!("missing \"{key}\" in: {line}")),
-        Some("null") => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad \"{key}\" in: {line}")),
-    }
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    raw_field(line, key).ok_or_else(|| format!("missing \"{key}\" in: {line}"))
-}
-
-fn parse_flow_event(line: &str) -> Result<FlowEvent, String> {
-    let name = str_field(line, "event")?;
-    let flow = |key: &str| opt_u32_field(line, key);
-    let req_flow = || flow("flow")?.ok_or_else(|| format!("null \"flow\" in: {line}"));
-    Ok(match name {
+fn parse_flow_event(f: &Fields<'_>) -> Result<FlowEvent, String> {
+    Ok(match f.str("event")? {
         "flow_spawned" => FlowEvent::FlowSpawned {
-            flow: req_flow()?,
-            parent: flow("parent")?,
-            thickness: usize_field(line, "thickness")?,
+            flow: f.flow()?,
+            parent: f.opt_u32("parent")?,
+            thickness: f.num("thickness")?,
         },
         "split" => FlowEvent::Split {
-            flow: req_flow()?,
-            arms: usize_field(line, "arms")?,
+            flow: f.flow()?,
+            arms: f.num("arms")?,
         },
         "join" => FlowEvent::Join {
-            flow: req_flow()?,
-            parent: flow("parent")?,
+            flow: f.flow()?,
+            parent: f.opt_u32("parent")?,
         },
         "mode_switch" => FlowEvent::ModeSwitch {
-            flow: req_flow()?,
-            mode: Mode::from_name(str_field(line, "mode")?)
-                .ok_or_else(|| format!("bad \"mode\" in: {line}"))?,
+            flow: f.flow()?,
+            mode: Mode::from_name(f.str("mode")?)
+                .ok_or_else(|| format!("bad \"mode\" in: {}", f.line))?,
         },
         "thickness_change" => FlowEvent::ThicknessChange {
-            flow: req_flow()?,
-            from: usize_field(line, "from")?,
-            to: usize_field(line, "to")?,
+            flow: f.flow()?,
+            from: f.num("from")?,
+            to: f.num("to")?,
         },
         "buffer_reload" => FlowEvent::BufferReload {
-            flow: req_flow()?,
-            group: usize_field(line, "group")?,
-            cost: u64_field(line, "cost")?,
+            flow: f.flow()?,
+            group: f.num("group")?,
+            cost: f.num("cost")?,
         },
         "wait_begin" => FlowEvent::WaitBegin {
-            flow: req_flow()?,
-            pending: usize_field(line, "pending")?,
+            flow: f.flow()?,
+            pending: f.num("pending")?,
         },
-        "wait_end" => FlowEvent::WaitEnd { flow: req_flow()? },
-        "flow_halted" => FlowEvent::FlowHalted { flow: req_flow()? },
-        "fetch" => FlowEvent::Fetch { flow: req_flow()? },
+        "wait_end" => FlowEvent::WaitEnd { flow: f.flow()? },
+        "flow_halted" => FlowEvent::FlowHalted { flow: f.flow()? },
+        "fetch" => FlowEvent::Fetch { flow: f.flow()? },
         "spill" => FlowEvent::Spill {
-            flow: req_flow()?,
-            group: usize_field(line, "group")?,
-            lanes: usize_field(line, "lanes")?,
+            flow: f.flow()?,
+            group: f.num("group")?,
+            lanes: f.num("lanes")?,
         },
         "step_end" => FlowEvent::StepEnd {
-            step: u64_field(line, "end_step")?,
-            cycle: u64_field(line, "end_cycle")?,
+            step: f.num("end_step")?,
+            cycle: f.num("end_cycle")?,
         },
-        other => return Err(format!("unknown event \"{other}\" in: {line}")),
+        other => return Err(format!("unknown event \"{other}\" in: {}", f.line)),
     })
 }
 
-/// Parses a `tcf-obs-stream/v1` NDJSON document back into its event
+/// The run a `trace`, `trun` or `brun` line stands for. A run line must
+/// have the shape the writer gives it: `count`, `first` and `width` at
+/// least 1, `first` at most `count`, and a last cycle and last thread
+/// inside the integer range — anything else is an error, never a loop.
+fn parse_trace_run(t: &str, f: &Fields<'_>) -> Result<TraceEvent, String> {
+    let (flow, thread, shape) = match t {
+        "trace" => (
+            f.opt_u32("flow")?,
+            f.opt_u32("thread")?.map(|t| t as usize),
+            None,
+        ),
+        "trun" => (
+            Some(f.flow()?),
+            Some(f.num("thread0")?),
+            Some((f.num("first")?, f.num("width")?)),
+        ),
+        _ => (None, None, Some((1, 1))),
+    };
+    let head = TraceEvent::unit(f.num("cycle")?, f.num("group")?, flow, thread, f.kind()?);
+    let Some((first, width)) = shape else {
+        return Ok(head);
+    };
+    let count: u64 = f.num("count")?;
+    (first <= count)
+        .then(|| TraceEvent::run(head, count, first, width))
+        .flatten()
+        .ok_or_else(|| format!("not a run the writer emits: {}", f.line))
+}
+
+/// Parses a `tcf-obs-stream/v2` NDJSON document back into its event
 /// streams. The first non-empty line must be the schema header; unknown
 /// line types or malformed fields are errors (the writer and reader are
-/// the same schema version by construction).
+/// the same schema version by construction). Trace lines go through the
+/// recorder's own merge ([`Trace::push`]) and are never expanded, so a
+/// line costs the same whatever its `count`, and the runs that come out
+/// are the ones the streamed machine stored.
 pub fn parse_stream(s: &str) -> Result<StreamReassembly, String> {
     let mut lines = s.lines().filter(|l| !l.trim().is_empty());
     match lines.next() {
-        Some(header) if raw_field(header, "schema") == Some(STREAM_SCHEMA) => {}
+        Some(header) if Fields::scan(header)?.get("schema") == Some(STREAM_SCHEMA) => {}
         Some(header) => return Err(format!("bad stream header: {header}")),
         None => return Err("empty stream".to_string()),
     }
     let mut out = StreamReassembly::default();
+    let mut trace = Trace::recording();
     for line in lines {
-        match str_field(line, "t")? {
-            "trace" => out.trace.push(TraceEvent {
-                cycle: u64_field(line, "cycle")?,
-                group: usize_field(line, "group")?,
-                flow: opt_u32_field(line, "flow")?,
-                thread: opt_u32_field(line, "thread")?.map(|t| t as usize),
-                kind: UnitKind::from_name(str_field(line, "kind")?)
-                    .ok_or_else(|| format!("bad \"kind\" in: {line}"))?,
-            }),
-            "trun" => {
-                let cycle = u64_field(line, "cycle")?;
-                let group = usize_field(line, "group")?;
-                let flow = opt_u32_field(line, "flow")?
-                    .ok_or_else(|| format!("null \"flow\" in: {line}"))?;
-                let thread0 = usize_field(line, "thread0")?;
-                let count = usize_field(line, "count")?;
-                let first = usize_field(line, "first")?;
-                let width = usize_field(line, "width")?;
-                let kind = UnitKind::from_name(str_field(line, "kind")?)
-                    .ok_or_else(|| format!("bad \"kind\" in: {line}"))?;
-                if width == 0 {
-                    return Err(format!("zero \"width\" in: {line}"));
+        let f = Fields::scan(line)?;
+        match f.str("t")? {
+            t @ ("trace" | "trun" | "brun") => {
+                let run = parse_trace_run(t, &f)?;
+                if trace.next_seq().checked_add(run.count()).is_none() {
+                    return Err(format!("more than 2^64 trace units at: {line}"));
                 }
-                for i in 0..count {
-                    let c = if i < first {
-                        cycle
-                    } else {
-                        cycle + 1 + ((i - first) / width) as u64
-                    };
-                    out.trace.push(TraceEvent {
-                        cycle: c,
-                        group,
-                        flow: Some(flow),
-                        thread: Some(thread0 + i),
-                        kind,
-                    });
-                }
-            }
-            "brun" => {
-                let cycle = u64_field(line, "cycle")?;
-                let group = usize_field(line, "group")?;
-                let count = usize_field(line, "count")?;
-                let kind = UnitKind::from_name(str_field(line, "kind")?)
-                    .ok_or_else(|| format!("bad \"kind\" in: {line}"))?;
-                for i in 0..count {
-                    out.trace.push(TraceEvent {
-                        cycle: cycle + i as u64,
-                        group,
-                        flow: None,
-                        thread: None,
-                        kind,
-                    });
-                }
+                trace.push(run);
             }
             "flow" => out.events.push(TimedEvent {
-                step: u64_field(line, "step")?,
-                cycle: u64_field(line, "cycle")?,
-                event: parse_flow_event(line)?,
+                step: f.num("step")?,
+                cycle: f.num("cycle")?,
+                event: parse_flow_event(&f)?,
             }),
             "drop" => {
-                let missed = u64_field(line, "missed")?;
-                match str_field(line, "stream")? {
-                    "trace" => out.trace_dropped += missed,
-                    "flow" => out.events_dropped += missed,
+                let missed: u64 = f.num("missed")?;
+                let total = match f.str("stream")? {
+                    "trace" => &mut out.trace_dropped,
+                    "flow" => &mut out.events_dropped,
                     other => return Err(format!("unknown drop stream \"{other}\" in: {line}")),
-                }
+                };
+                *total = total
+                    .checked_add(missed)
+                    .ok_or_else(|| format!("drop total past 2^64 at: {line}"))?;
             }
             other => return Err(format!("unknown line type \"{other}\" in: {line}")),
         }
     }
+    out.trace = trace.events();
     Ok(out)
 }
 
@@ -716,20 +668,8 @@ mod tests {
     #[test]
     fn trace_events_round_trip() {
         let evs = vec![
-            TraceEvent {
-                cycle: 0,
-                group: 0,
-                flow: Some(1 as FlowTag),
-                thread: Some(3),
-                kind: UnitKind::Compute,
-            },
-            TraceEvent {
-                cycle: 1,
-                group: 2,
-                flow: None,
-                thread: None,
-                kind: UnitKind::Bubble,
-            },
+            TraceEvent::unit(0, 0, Some(1 as FlowTag), Some(3), UnitKind::Compute),
+            TraceEvent::unit(1, 2, None, None, UnitKind::Bubble),
         ];
         let mut doc = header_line();
         for e in &evs {
@@ -750,13 +690,13 @@ mod tests {
         let mut doc = header_line();
         for step in 0..4u64 {
             for c in 0..3u64 {
-                trace.push(TraceEvent {
-                    cycle: step * 3 + c,
-                    group: 0,
-                    flow: Some(1),
-                    thread: None,
-                    kind: UnitKind::Compute,
-                });
+                trace.push(TraceEvent::unit(
+                    step * 3 + c,
+                    0,
+                    Some(1),
+                    None,
+                    UnitKind::Compute,
+                ));
             }
             obs.emit(
                 step + 1,
@@ -768,6 +708,9 @@ mod tests {
             );
             drain_ndjson(&trace, &obs, &mut cursor, &mut doc);
         }
+        // Twelve units on twelve consecutive cycles: one stored run, which
+        // every drain found three units longer than it left it.
+        assert_eq!(trace.events().len(), 1);
         let re = parse_stream(&doc).expect("parses");
         assert_eq!(re.trace, trace.events());
         assert_eq!(re.events, obs.events());
@@ -790,16 +733,25 @@ mod tests {
         assert_eq!(cursor.events, obs.next_seq());
     }
 
-    /// Encodes `evs` through the run-compressing batch writer and parses
-    /// the document back, asserting exact reconstruction.
-    fn batch_round_trips(evs: &[TraceEvent]) -> String {
+    /// Records `units` one by one, writes the stored runs and parses the
+    /// document back, asserting exact reconstruction. (That the lines are
+    /// the ones the v2 matcher of PR 7 wrote for the same units is
+    /// `tests/runs.rs`.)
+    fn batch_round_trips(units: &[TraceEvent]) -> String {
+        let mut trace = Trace::recording();
+        for u in units {
+            trace.push(*u);
+        }
+        assert!(trace.units().eq(units.iter().copied()), "units diverged");
         let mut doc = header_line();
-        write_trace_items(&mut doc, evs.iter());
+        for run in trace.events() {
+            write_trace_line(&mut doc, &run);
+        }
         for line in doc.lines().skip(1) {
             validate_json(line).expect("line is valid JSON");
         }
         let re = parse_stream(&doc).expect("parses");
-        assert_eq!(re.trace, evs, "run compression diverged");
+        assert_eq!(re.trace, trace.events(), "stored runs diverged");
         doc
     }
 
@@ -813,16 +765,13 @@ mod tests {
         width: usize,
     ) -> Vec<TraceEvent> {
         (0..count)
-            .map(|i| TraceEvent {
-                cycle: if i < phase {
+            .map(|i| {
+                let cycle = if i < phase {
                     cycle0
                 } else {
                     cycle0 + 1 + ((i - phase) / width) as u64
-                },
-                group: 1,
-                flow: Some(flow),
-                thread: Some(7 + i),
-                kind: UnitKind::Compute,
+                };
+                TraceEvent::unit(cycle, 1, Some(flow), Some(7 + i), UnitKind::Compute)
             })
             .collect()
     }
@@ -849,13 +798,7 @@ mod tests {
     #[test]
     fn bubble_runs_compress_and_round_trip() {
         let evs: Vec<TraceEvent> = (0..12)
-            .map(|i| TraceEvent {
-                cycle: 40 + i,
-                group: 2,
-                flow: None,
-                thread: None,
-                kind: UnitKind::Bubble,
-            })
+            .map(|i| TraceEvent::unit(40 + i, 2, None, None, UnitKind::Bubble))
             .collect();
         let doc = batch_round_trips(&evs);
         assert_eq!(doc.lines().count(), 2, "one brun line:\n{doc}");
@@ -866,39 +809,75 @@ mod tests {
         // Thread gaps, flow changes, cycle jumps, and sub-MIN_RUN runs:
         // everything must still reconstruct exactly.
         let mut evs = cadence(0, 1, 2, 1, 1); // too short for a run
-        evs.push(TraceEvent {
-            cycle: 9,
-            group: 1,
-            flow: Some(1),
-            thread: Some(100), // thread gap
-            kind: UnitKind::Compute,
-        });
+        evs.push(TraceEvent::unit(
+            9,
+            1,
+            Some(1),
+            Some(100), // thread gap
+            UnitKind::Compute,
+        ));
         evs.extend(cadence(9, 2, 6, 3, 3)); // flow switch mid-stream
-        evs.push(TraceEvent {
-            cycle: 30, // cycle jump > 1
-            group: 1,
-            flow: Some(2),
-            thread: Some(13),
-            kind: UnitKind::MemLocal,
-        });
-        evs.push(TraceEvent {
-            cycle: 31,
-            group: 1,
-            flow: None,
-            thread: None,
-            kind: UnitKind::Bubble, // lone bubble
-        });
-        batch_round_trips(&evs);
+        evs.push(TraceEvent::unit(
+            30, // cycle jump > 1
+            1,
+            Some(2),
+            Some(13),
+            UnitKind::MemLocal,
+        ));
+        // A lone bubble.
+        evs.push(TraceEvent::unit(31, 1, None, None, UnitKind::Bubble));
+        let doc = batch_round_trips(&evs);
+        assert_eq!(doc.matches("\"t\":\"trace\"").count(), 5, "{doc}");
+        assert_eq!(doc.matches("\"t\":\"trun\"").count(), 1, "{doc}");
     }
 
     #[test]
     fn adjacent_runs_split_at_shape_breaks() {
         // Two back-to-back cadence runs of the same flow: the second
-        // starts a new thread base, so the writer must end the first run
-        // exactly at the boundary.
+        // starts a new thread base, so the first run must end exactly at
+        // the boundary.
         let mut evs = cadence(0, 1, 8, 4, 4);
         evs.extend(cadence(2, 1, 8, 4, 4));
-        batch_round_trips(&evs);
+        let doc = batch_round_trips(&evs);
+        assert_eq!(doc.lines().count(), 3, "two trun lines:\n{doc}");
+    }
+
+    #[test]
+    fn run_lines_that_name_no_run_are_errors_not_loops() {
+        let max = u64::MAX;
+        for body in [
+            // Last cycle past the range.
+            format!("\"t\":\"brun\",\"cycle\":9,\"group\":0,\"count\":{max},\"kind\":\"bubble\""),
+            // Last thread past the range, with cycles to spare.
+            format!("\"t\":\"trun\",\"cycle\":0,\"group\":0,\"flow\":1,\"thread0\":{max},\"count\":3,\"first\":3,\"width\":1,\"kind\":\"compute\""),
+            // Shapes the writer never emits.
+            "\"t\":\"trun\",\"cycle\":0,\"group\":0,\"flow\":1,\"thread0\":0,\"count\":8,\"first\":2,\"width\":0,\"kind\":\"compute\"".to_string(),
+            "\"t\":\"trun\",\"cycle\":0,\"group\":0,\"flow\":1,\"thread0\":0,\"count\":8,\"first\":0,\"width\":4,\"kind\":\"compute\"".to_string(),
+            "\"t\":\"trun\",\"cycle\":0,\"group\":0,\"flow\":1,\"thread0\":0,\"count\":8,\"first\":9,\"width\":4,\"kind\":\"compute\"".to_string(),
+            "\"t\":\"brun\",\"cycle\":0,\"group\":0,\"count\":0,\"kind\":\"bubble\"".to_string(),
+        ] {
+            let doc = format!("{}{{{body}}}\n", header_line());
+            assert!(parse_stream(&doc).is_err(), "accepted: {body}");
+        }
+        // A count is a number, not a loop: the line that used to push
+        // until the process died is one record, like the largest `brun`
+        // that fits.
+        let doc = format!(
+            "{}{{\"t\":\"trun\",\"cycle\":4,\"group\":0,\"flow\":1,\"thread0\":0,\"count\":{max},\"first\":2,\"width\":4,\"kind\":\"compute\"}}\n",
+            header_line(),
+        );
+        let re = parse_stream(&doc).expect("fits");
+        assert_eq!((re.trace.len(), re.trace[0].count()), (1, max));
+        let doc = format!(
+            "{}{{\"t\":\"brun\",\"cycle\":1,\"group\":0,\"count\":{},\"kind\":\"bubble\"}}\n",
+            header_line(),
+            max - 1
+        );
+        let re = parse_stream(&doc).expect("fits");
+        assert_eq!((re.trace.len(), re.trace[0].count()), (1, max - 1));
+        // Two of them are more units than a sequence number can count.
+        let twice = format!("{doc}{}", doc.lines().nth(1).unwrap());
+        assert!(parse_stream(&twice).is_err());
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn check(name: &str, variant: Variant, src: &str, golden: &str) {
 }
 
 /// Every buffer miss shows in the trace as `load_cost` `FlowOverhead`
-/// events of the missing flow on the missing group — however the units
+/// units of the missing flow on the missing group — however the units
 /// reached the pipeline — and the trace holds no overhead event that the
 /// statistics do not count.
 fn check_overhead_events(name: &str, m: &TcfMachine, s: &RunSummary) {
@@ -108,7 +108,7 @@ fn check_overhead_events(name: &str, m: &TcfMachine, s: &RunSummary) {
         if e.kind == UnitKind::FlowOverhead {
             *traced
                 .entry((e.group, e.flow.expect("overhead has a flow")))
-                .or_default() += 1;
+                .or_default() += e.count();
         }
     }
     assert_eq!(
@@ -314,5 +314,53 @@ fn multi_instruction_spawn() {
         Variant::MultiInstruction,
         &spawn_src(),
         GOLDEN_SPAWN,
+    );
+}
+
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Bounded rings, which no `repro` command turns on: the multitasking
+/// program recorded into `set_trace_ring(4096)` + `set_observing_ring(4096)`
+/// must drop, keep and export exactly what it did when the ring held one
+/// record per unit. The constants were recorded by running this test at
+/// the commit before the trace stored runs (PR 14).
+#[test]
+fn bounded_ring_artifacts_are_the_per_unit_ring_s() {
+    let program = tcf::lang::compile(&multitasking_src()).unwrap();
+    let mut m = TcfMachine::new(
+        MachineConfig::default_machine(),
+        Variant::SingleInstruction,
+        program,
+    );
+    m.set_trace_ring(4096);
+    m.set_observing_ring(4096);
+    for i in 0..SIZE {
+        m.poke(A + i, ((i * 2_654_435_761usize) >> 9) as Word % 1000)
+            .unwrap();
+        m.poke(B + i, (i * 7 % 113) as Word).unwrap();
+    }
+    m.run(1_000_000).unwrap();
+    let trace = m.trace();
+    assert_eq!(
+        (trace.dropped(), m.obs().dropped(), trace.next_seq()),
+        (617_721, 18_620, 621_817)
+    );
+    assert_eq!(trace.len(), 4096);
+    assert_eq!(fnv(&trace.to_csv()), 0x3763_682c_bb66_fd5f, "to_csv");
+    assert_eq!(fnv(&trace.gantt(0)), 0xf417_937e_f8cb_d2d3, "gantt(0)");
+    let chrome = tcf_obs::chrome::chrome_trace_with_drops(
+        &trace.events(),
+        &m.obs().events(),
+        trace.dropped(),
+        m.obs().dropped(),
+    );
+    assert_eq!(
+        fnv(&chrome),
+        0x189e_309b_dd31_392d,
+        "chrome_trace_with_drops"
     );
 }

@@ -138,6 +138,36 @@ class GateTests(unittest.TestCase):
         with self.assertRaisesRegex(GateFailure, "overhead exceeds 5%"):
             run_gate(fresh, committed)
 
+    def test_recording_and_streaming_budgets_enforced(self):
+        # Recording stores runs: 1.5x of disabled sinks is the budget
+        # (one record per unit read 2.6x), 2x for the live stream.
+        committed = healthy_doc()
+        for key, rate, message in [
+            ("obs_overhead_record", 600_000.0, "recording .* exceeds 1.5x"),
+            ("obs_overhead_stream", 450_000.0, "live-stream .* exceeds 2.0x"),
+        ]:
+            fresh = copy.deepcopy(committed)
+            fresh["workloads"][key] = entry(steps=rate, instrs=2 * rate)
+            with self.assertRaisesRegex(GateFailure, message):
+                run_gate(fresh, copy.deepcopy(fresh))
+        # Just inside both budgets passes and is reported.
+        fresh = copy.deepcopy(committed)
+        fresh["workloads"]["obs_overhead_record"] = entry(
+            steps=700_000.0, instrs=1_400_000.0
+        )
+        fresh["workloads"]["obs_overhead_stream"] = entry(
+            steps=520_000.0, instrs=1_040_000.0
+        )
+        lines = run_gate(fresh, copy.deepcopy(fresh))
+        self.assertTrue(any(l.startswith("obs_overhead_record:") for l in lines))
+        self.assertTrue(any(l.startswith("obs_overhead_stream:") for l in lines))
+
+    def test_recording_must_cost_runs_not_lanes(self):
+        self.assertIn(
+            ("recorded_compressed", "recorded_compressed_100x", "steps_per_sec"),
+            VARIANT_SCALING,
+        )
+
     def test_nonpositive_rate_fails(self):
         committed = healthy_doc()
         fresh = copy.deepcopy(committed)
