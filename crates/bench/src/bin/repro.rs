@@ -400,5 +400,85 @@ fn sweeps(config: &MachineConfig) -> String {
         ]);
     }
     out.push_str(&t.render());
+
+    out.push_str(&issue_window_sweep());
+    out.push_str(&network_sweep());
+    out
+}
+
+/// Figure 6 as a sweep: how long an issue window must be before it
+/// covers the memory round trip.
+fn issue_window_sweep() -> String {
+    use tcf_machine::{GroupPipeline, IssueUnit, MachineStats, Trace};
+    use tcf_net::{Network, Topology};
+    let mut out = String::from(
+        "\n-- Issue-window length vs utilization (Figure 6; round trip ~6 cycles) --\n",
+    );
+    let mut t = TextTable::new(vec!["units", "utilization"]);
+    for units in [1usize, 2, 4, 8, 16, 32, 64] {
+        let mut net = Network::new(Topology::Crossbar { nodes: 4 }, 2);
+        let pipe = GroupPipeline::new(0, 2, 1);
+        let work: Vec<IssueUnit> = (0..units)
+            .map(|i| IssueUnit::shared_mem(1, i, 1 + (i % 3)))
+            .collect();
+        let mut stats = MachineStats::default();
+        let step = pipe.run_step(
+            0,
+            &work,
+            false,
+            &mut net,
+            &mut Trace::disabled(),
+            &mut stats,
+        );
+        let utilization = units as f64 / step.cycles() as f64;
+        t.row(vec![units.to_string(), format!("{utilization:.2}")]);
+    }
+    out.push_str(&t.render());
+    out.push_str("(utilization saturates once the window covers the memory round trip)\n");
+    out
+}
+
+/// Distance-aware network behaviour: all-to-one against uniform traffic
+/// on three topologies of 16 nodes.
+fn network_sweep() -> String {
+    use tcf_net::{Network, Topology};
+    let mut out = String::from(
+        "\n-- Network: completion cycle of all-to-one vs uniform traffic (16 nodes) --\n",
+    );
+    let mut t = TextTable::new(vec!["topology", "all-to-one", "uniform (8 rounds)"]);
+    let mesh = Topology::Mesh2D {
+        width: 4,
+        height: 4,
+    };
+    for (name, topology) in [
+        ("ring16", Topology::Ring { nodes: 16 }),
+        ("mesh4x4", mesh),
+        ("crossbar16", Topology::Crossbar { nodes: 16 }),
+    ] {
+        let n = topology.nodes();
+        let to_one: Vec<(usize, usize)> = (1..n).map(|s| (s, 0)).collect();
+        let (_, all_to_one) = Network::new(topology, 1).send_batch(&to_one, 0);
+        // Deterministic pseudo-random pairs (LCG).
+        let mut net = Network::new(topology, 1);
+        let (mut x, mut uniform) = (12345u64, 0);
+        for round in 0..8 {
+            let msgs: Vec<(usize, usize)> = (0..n)
+                .map(|s| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (s, (x >> 33) as usize % n)
+                })
+                .collect();
+            (_, uniform) = net.send_batch(&msgs, round * 64);
+        }
+        t.row(vec![
+            name.to_string(),
+            all_to_one.to_string(),
+            uniform.to_string(),
+        ]);
+    }
+    out.push_str(&t.render());
+    out.push_str("(all-to-one exposes the destination bottleneck; distance shows in the ring)\n");
     out
 }

@@ -250,7 +250,7 @@ impl Debugger {
                 let _ = writeln!(out, "no flow {id}");
             }
             Some(f) => {
-                let mut lanes = Vec::new();
+                let mut lanes = vec![0; f.thickness.min(8)];
                 for i in 0..f.regs.len() {
                     let reg = tcf_isa::reg::Reg::new(i as u8);
                     let v = f.regs.value(reg);
@@ -261,7 +261,7 @@ impl Debugger {
                             }
                         }
                         None => {
-                            v.materialize_into(f.thickness.min(8), &mut lanes);
+                            v.fill_lanes(0, &mut lanes);
                             let _ = writeln!(
                                 out,
                                 "  r{i:<2} = per-thread {lanes:?}{}",

@@ -1,5 +1,5 @@
-//! Hot-path throughput probes: the fixed workload set measured by the
-//! `step_rate` criterion bench and exported by `repro bench-json`.
+//! Hot-path throughput probes: the fixed workload set measured and
+//! exported by `repro bench-json`.
 //!
 //! Seven workloads cover the simulator's steady states (see
 //! `docs/PERFORMANCE.md`):
@@ -394,7 +394,7 @@ const MIN_SAMPLE_SECS: f64 = 0.05;
 /// Measures one workload: one warmup run calibrates how many program
 /// executions one sample needs to span [`MIN_SAMPLE_SECS`], then
 /// `repeats` batched samples run and the fastest average per-run time is
-/// kept (criterion-style minimum over batch means — the least-perturbed
+/// kept (the minimum over batch means — the least-perturbed
 /// sample of a deterministic simulation). Steps and instruction counts
 /// are per run, not per batch.
 pub fn measure(w: Workload, repeats: usize) -> Measurement {

@@ -41,9 +41,9 @@ use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::TcfMachine;
-use crate::par_engine::{exec_thick_lanes, FragOut, ThickCtx};
 use crate::semantics::{flowwise, Control, DirectPort};
 use crate::thick::ThickValue;
+use crate::thick_exec::{exec_thick_lanes, FragOut, ThickCtx};
 
 /// Pooled per-quantum buffers of [`TcfMachine::step_async`], kept on the
 /// machine so steady-state quanta allocate nothing — the same discipline
@@ -487,9 +487,9 @@ impl TcfMachine {
             match out.reg_affine[..] {
                 // The window is the whole flow, so one progression over it
                 // replaces the register outright, explicit lanes included.
-                [(rd, 0, count, vbase, vstride)] if count == n => flow
+                [(rd, 0, run)] if run.len as usize == n => flow
                     .regs
-                    .write_value(rd, ThickValue::affine(vbase, vstride)),
+                    .write_value(rd, ThickValue::affine(run.base, run.stride)),
                 _ => self.thick_decay.async_slice += out.replay_regs(&mut flow.regs, n),
             }
             units.extend_from_slice(&out.units);

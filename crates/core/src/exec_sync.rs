@@ -153,12 +153,9 @@ impl TcfMachine {
                         let flow = self.flows.get_mut(&wb.flow).expect("flow exists");
                         let t = flow.thickness;
                         match view {
-                            BulkView::Affine {
-                                base: vbase,
-                                stride: vstride,
-                            } => flow
+                            BulkView::Affine(run) => flow
                                 .regs
-                                .write_affine(wb.rd, base, count, vbase, vstride, t),
+                                .write_affine(wb.rd, base, count, run.base, run.stride, t),
                             BulkView::Values(vals) => {
                                 if flow.regs.write_lanes(wb.rd, base, vals, t) {
                                     self.thick_decay.mem_reply += 1;

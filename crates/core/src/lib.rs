@@ -55,6 +55,7 @@ pub mod par_engine;
 pub mod sched;
 mod semantics;
 pub mod thick;
+mod thick_exec;
 pub mod variant;
 
 pub use counters::{EngineCounters, ThickDecayCounters};

@@ -44,8 +44,9 @@ use crate::error::{TcfError, TcfFault};
 use crate::exec_async::AsyncBufs;
 use crate::exec_sync::StepBufs;
 use crate::flow::{ExecMode, Flow, FlowStatus, FlowTable, Fragment};
-use crate::par_engine::{global_pool, Engine, FragOut, WorkerPool};
+use crate::par_engine::{global_pool, Engine, WorkerPool};
 use crate::sched::Allocation;
+use crate::thick_exec::FragOut;
 use crate::variant::Variant;
 
 /// Default step budget for [`TcfMachine::run`].

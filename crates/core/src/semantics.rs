@@ -17,7 +17,7 @@
 //! bound window, the async quantum and block split, the NUMA bunch slot
 //! loop, and `setthick/numa/split/join/spawn/sjoin/endnuma`. The
 //! compressed and vectorized rungs of thick execution
-//! ([`crate::par_engine`]) are shortcuts for many lanes of [`lane`] at
+//! ([`crate::thick_exec`]) are shortcuts for many lanes of [`lane`] at
 //! once and are pinned against it by the differential suites.
 
 use tcf_isa::instr::{MemSpace, MultiKind, Operand};

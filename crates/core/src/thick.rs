@@ -24,7 +24,10 @@
 use serde::{Deserialize, Serialize};
 
 use tcf_isa::op::AluOp;
+use tcf_isa::progression::{at, clip, Clip};
 use tcf_isa::word::{shamt, Word};
+
+pub use tcf_isa::progression::Seg;
 
 use crate::lanes;
 
@@ -37,27 +40,6 @@ use crate::lanes;
 /// vectorized per-lane kernels. Decays for this reason are counted as
 /// `decay_mask_runs` in the taxonomy.
 pub const MASK_RUN_BUDGET: usize = 32;
-
-/// One piece of a [`ThickValue::Segments`] value: `len` lanes reading
-/// `base + stride·k` (wrapping), `k` relative to the segment start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Seg {
-    /// Number of lanes in the segment (≥ 1).
-    pub len: u32,
-    /// Value of the segment's first lane.
-    pub base: Word,
-    /// Per-lane increment (0 for single-lane segments, by canonical
-    /// form).
-    pub stride: Word,
-}
-
-impl Seg {
-    /// Value of lane `k` (relative to the segment start).
-    #[inline]
-    pub fn get(&self, k: usize) -> Word {
-        self.base.wrapping_add(self.stride.wrapping_mul(k as Word))
-    }
-}
 
 /// A value with one word per implicit thread, compressed when uniform or
 /// (piecewise) affine in the lane index.
@@ -106,69 +88,41 @@ impl ThickValue {
         }
     }
 
-    /// A piecewise value from canonical-form segments: empty lists
-    /// collapse to zero (lanes beyond the segments read 0), a single
-    /// segment covering at least `thickness` lanes collapses to its
-    /// affine form (the tail beyond the covered lanes is unobservable —
-    /// thickness growth decays compressed registers first).
-    fn from_segs(mut segs: Vec<Seg>, thickness: usize) -> ThickValue {
-        merge_segs(&mut segs);
-        match segs.len() {
-            0 => ThickValue::Uniform(0),
-            1 if segs[0].len as usize >= thickness => {
-                ThickValue::affine(segs[0].base, segs[0].stride)
+    /// A piecewise value from runs in lane order, folded into canonical
+    /// form ([`Seg::try_merge`]): no runs collapse to zero (lanes beyond
+    /// the runs read 0), a single run covering at least `thickness` lanes
+    /// collapses to its affine form (the tail beyond the covered lanes is
+    /// unobservable — thickness growth decays compressed registers
+    /// first).
+    fn from_segs(runs: impl IntoIterator<Item = Seg>, thickness: usize) -> ThickValue {
+        let mut segs: Vec<Seg> = Vec::new();
+        // Internal iteration: a chain of clips folds as one plain loop
+        // per part.
+        runs.into_iter().for_each(|run| {
+            if let Some(run) = run.append_to(segs.last_mut(), Seg::try_merge) {
+                segs.push(run);
             }
+        });
+        match segs[..] {
+            [] => ThickValue::Uniform(0),
+            [s] if s.len as usize >= thickness => ThickValue::affine(s.base, s.stride),
             _ => ThickValue::Segments(segs),
         }
     }
 
-    /// Appends lanes `[from, to)` of this (compressed) value to `segs` as
-    /// affine pieces. Only called on `Uniform`/`Affine`/`Segments`.
-    fn append_range_segs(&self, from: usize, to: usize, segs: &mut Vec<Seg>) {
-        if from >= to {
-            return;
-        }
-        match self {
-            ThickValue::Uniform(v) => segs.push(Seg {
-                len: (to - from) as u32,
-                base: *v,
-                stride: 0,
-            }),
-            ThickValue::Affine { base, stride } => segs.push(Seg {
-                len: (to - from) as u32,
-                base: base.wrapping_add(stride.wrapping_mul(from as Word)),
-                stride: *stride,
-            }),
-            ThickValue::Segments(cur) => {
-                let mut start = 0usize;
-                for piece in cur {
-                    let plen = piece.len as usize;
-                    let lo = from.max(start);
-                    let hi = to.min(start + plen);
-                    if lo < hi {
-                        segs.push(Seg {
-                            len: (hi - lo) as u32,
-                            base: piece.get(lo - start),
-                            stride: piece.stride,
-                        });
-                    }
-                    start += plen;
-                    if start >= to {
-                        break;
-                    }
-                }
-                if start < to {
-                    // Zero tail beyond the covered lanes.
-                    let lo = from.max(start);
-                    segs.push(Seg {
-                        len: (to - lo) as u32,
-                        base: 0,
-                        stride: 0,
-                    });
-                }
-            }
-            ThickValue::PerThread(_) => unreachable!("append_range_segs on explicit lanes"),
-        }
+    /// Lanes `[lo, hi)` of a compressed value as affine pieces, in lane
+    /// order and covering the range exactly: a run list and what lanes
+    /// past it read, through [`clip`]. `None` for `PerThread` values,
+    /// whose piecewise structure would cost O(lanes) to discover.
+    #[inline]
+    fn pieces(&self, lo: usize, hi: usize) -> Option<Clip<'_>> {
+        let (runs, tail): (&[Seg], _) = match self {
+            ThickValue::Uniform(v) => (&[], (*v, 0)),
+            ThickValue::Affine { base, stride } => (&[], (*base, *stride)),
+            ThickValue::Segments(segs) => (segs, (0, 0)),
+            ThickValue::PerThread(_) => return None,
+        };
+        Some(clip(runs, tail, lo, hi))
     }
 
     /// The value thread `i` sees.
@@ -177,14 +131,12 @@ impl ThickValue {
         match self {
             ThickValue::Uniform(v) => *v,
             ThickValue::PerThread(vs) => vs.get(i).copied().unwrap_or(0),
-            ThickValue::Affine { base, stride } => {
-                base.wrapping_add(stride.wrapping_mul(i as Word))
-            }
+            ThickValue::Affine { base, stride } => at(*base, *stride, i),
             ThickValue::Segments(segs) => {
                 let mut k = i;
                 for s in segs {
                     if k < s.len as usize {
-                        return s.get(k);
+                        return s.at(k);
                     }
                     k -= s.len as usize;
                 }
@@ -195,89 +147,47 @@ impl ThickValue {
 
     /// Gathers lanes `[lo, lo + out.len())` into the dense plane `out` —
     /// exactly `out[k] = self.get(lo + k)`, but bulk per representation:
-    /// a fill for `Uniform`, a `memcpy` plus zero tail for `PerThread`,
-    /// the chunked progression kernel for `Affine`, and a segment walk of
-    /// progression fills for `Segments`. This is the structure-of-arrays
-    /// operand gather of the per-lane fallback path (`crate::lanes`).
+    /// a `memcpy` plus zero tail for `PerThread`, the chunked progression
+    /// kernel per piece for the compressed forms. This is the
+    /// structure-of-arrays operand gather of the per-lane fallback path
+    /// (`crate::lanes`).
     pub fn fill_lanes(&self, lo: usize, out: &mut [Word]) {
-        match self {
-            ThickValue::Uniform(v) => out.fill(*v),
-            ThickValue::PerThread(vs) => {
-                // `lo` may sit past the materialized end (all-zero lanes).
-                let start = lo.min(vs.len());
-                let avail = (vs.len() - start).min(out.len());
-                out[..avail].copy_from_slice(&vs[start..start + avail]);
-                out[avail..].fill(0);
-            }
-            ThickValue::Affine { base, stride } => lanes::fill_affine(
-                out,
-                base.wrapping_add(stride.wrapping_mul(lo as Word)),
-                *stride,
-            ),
-            ThickValue::Segments(segs) => {
-                let hi = lo + out.len();
-                let mut start = 0usize;
-                let mut done = 0usize;
-                for s in segs {
-                    let plen = s.len as usize;
-                    let a = lo.max(start);
-                    let b = hi.min(start + plen);
-                    if a < b {
-                        lanes::fill_affine(&mut out[a - lo..b - lo], s.get(a - start), s.stride);
-                        done = b - lo;
-                    }
-                    start += plen;
-                    if start >= hi {
-                        break;
-                    }
-                }
-                out[done..].fill(0);
-            }
+        if let ThickValue::PerThread(vs) = self {
+            // `lo` may sit past the materialized end (all-zero lanes).
+            let start = lo.min(vs.len());
+            let avail = (vs.len() - start).min(out.len());
+            out[..avail].copy_from_slice(&vs[start..start + avail]);
+            out[avail..].fill(0);
+            return;
+        }
+        let mut done = 0usize;
+        for p in self.pieces(lo, lo + out.len()).into_iter().flatten() {
+            let end = done + p.len as usize;
+            lanes::fill_affine(&mut out[done..end], p.base, p.stride);
+            done = end;
         }
     }
 
     /// First `k` where `values[k] != self.get(lo + k)` — the bulk
     /// mismatch scan [`ThickRegs::write_lanes`] uses to decide whether a
     /// lane run leaves the stored representation untouched. Chunked per
-    /// representation (`crate::lanes`); `PerThread` compares directly.
+    /// piece (`crate::lanes`); `PerThread` compares directly.
     pub fn first_mismatch(&self, lo: usize, values: &[Word]) -> Option<usize> {
-        match self {
-            ThickValue::Uniform(v) => lanes::first_mismatch_uniform(values, *v),
-            ThickValue::Affine { base, stride } => lanes::first_mismatch_affine(
-                values,
-                base.wrapping_add(stride.wrapping_mul(lo as Word)),
-                *stride,
-            ),
-            ThickValue::Segments(segs) => {
-                let hi = lo + values.len();
-                let mut start = 0usize;
-                let mut done = 0usize;
-                for s in segs {
-                    let plen = s.len as usize;
-                    let a = lo.max(start);
-                    let b = hi.min(start + plen);
-                    if a < b {
-                        if let Some(p) = lanes::first_mismatch_affine(
-                            &values[a - lo..b - lo],
-                            s.get(a - start),
-                            s.stride,
-                        ) {
-                            return Some(a - lo + p);
-                        }
-                        done = b - lo;
-                    }
-                    start += plen;
-                    if start >= hi {
-                        break;
-                    }
-                }
-                lanes::first_mismatch_uniform(&values[done..], 0).map(|p| done + p)
-            }
-            ThickValue::PerThread(_) => values
+        let Some(pieces) = self.pieces(lo, lo + values.len()) else {
+            return values
                 .iter()
                 .enumerate()
-                .find_map(|(k, &x)| (x != self.get(lo + k)).then_some(k)),
+                .find_map(|(k, &x)| (x != self.get(lo + k)).then_some(k));
+        };
+        let mut done = 0usize;
+        for p in pieces {
+            let end = done + p.len as usize;
+            if let Some(k) = lanes::first_mismatch_affine(&values[done..end], p.base, p.stride) {
+                return Some(done + k);
+            }
+            done = end;
         }
+        None
     }
 
     /// The uniform value, if uniform.
@@ -296,27 +206,18 @@ impl ThickValue {
     pub fn affine_over(&self, lo: usize, len: usize) -> Option<(Word, Word)> {
         match self {
             ThickValue::Uniform(v) => Some((*v, 0)),
-            ThickValue::Affine { base, stride } => {
-                Some((base.wrapping_add(stride.wrapping_mul(lo as Word)), *stride))
-            }
+            ThickValue::Affine { base, stride } => Some((at(*base, *stride, lo), *stride)),
             ThickValue::Segments(segs) => {
-                if len == 0 {
-                    return Some((self.get(lo), 0));
+                // A one-lane window of a list run answers stride 0, an
+                // `Affine` value its own: what a single-lane reference
+                // says its stride is picks its timing path, so both stay
+                // as they always were.
+                let mut pieces = clip(segs, (0, 0), lo, lo + len);
+                match (pieces.next(), pieces.next()) {
+                    (Some(p), None) => Some((p.base, if len == 1 { 0 } else { p.stride })),
+                    (None, _) => Some((self.get(lo), 0)),
+                    _ => None,
                 }
-                let mut k = lo;
-                for s in segs {
-                    if k < s.len as usize {
-                        // Entirely within this segment?
-                        return if k + len <= s.len as usize {
-                            Some((s.get(k), if len == 1 { 0 } else { s.stride }))
-                        } else {
-                            None
-                        };
-                    }
-                    k -= s.len as usize;
-                }
-                // Entirely beyond the covered lanes: all zero.
-                Some((0, 0))
             }
             ThickValue::PerThread(_) => None,
         }
@@ -332,10 +233,10 @@ impl ThickValue {
     /// range straddles segment boundaries, the pieces let the caller run
     /// the closed-form algebra per run instead of decaying to lanes.
     pub fn piece_runs(&self, lo: usize, len: usize, out: &mut Vec<Seg>) -> bool {
-        if matches!(self, ThickValue::PerThread(_)) {
+        let Some(pieces) = self.pieces(lo, lo + len) else {
             return false;
-        }
-        self.append_range_segs(lo, lo + len, out);
+        };
+        out.extend(pieces);
         true
     }
 
@@ -357,12 +258,10 @@ impl ThickValue {
                 ThickValue::PerThread(out)
             }
             ThickValue::Affine { base, stride } => {
-                ThickValue::affine(base.wrapping_add(stride.wrapping_mul(lo as Word)), *stride)
+                ThickValue::affine(at(*base, *stride, lo), *stride)
             }
-            ThickValue::Segments(_) => {
-                let mut segs = Vec::new();
-                self.append_range_segs(lo, lo + len, &mut segs);
-                ThickValue::from_segs(segs, len)
+            ThickValue::Segments(segs) => {
+                ThickValue::from_segs(clip(segs, (0, 0), lo, lo + len), len)
             }
         }
     }
@@ -381,46 +280,9 @@ impl ThickValue {
 
     /// Materializes the value as a per-thread vector of length `thickness`.
     pub fn materialize(&self, thickness: usize) -> Vec<Word> {
-        let mut out = Vec::new();
-        self.materialize_into(thickness, &mut out);
+        let mut out = vec![0; thickness];
+        self.fill_lanes(0, &mut out);
         out
-    }
-
-    /// Like [`materialize`](ThickValue::materialize), but reusing `out`'s
-    /// allocation: the vector is cleared and refilled to `thickness`
-    /// entries. The zero-allocation choice for loops that materialize
-    /// register after register into one scratch buffer.
-    pub fn materialize_into(&self, thickness: usize, out: &mut Vec<Word>) {
-        out.clear();
-        match self {
-            ThickValue::Uniform(v) => out.resize(thickness, *v),
-            ThickValue::PerThread(vs) => {
-                out.extend((0..thickness).map(|i| vs.get(i).copied().unwrap_or(0)))
-            }
-            ThickValue::Affine { base, stride } => {
-                let mut v = *base;
-                out.extend((0..thickness).map(|_| {
-                    let cur = v;
-                    v = v.wrapping_add(*stride);
-                    cur
-                }));
-            }
-            ThickValue::Segments(segs) => {
-                for s in segs {
-                    let take = (s.len as usize).min(thickness - out.len());
-                    let mut v = s.base;
-                    out.extend((0..take).map(|_| {
-                        let cur = v;
-                        v = v.wrapping_add(s.stride);
-                        cur
-                    }));
-                    if out.len() == thickness {
-                        break;
-                    }
-                }
-                out.resize(thickness, 0);
-            }
-        }
     }
 
     /// The word every one of the first `thickness` implicit threads sees,
@@ -532,60 +394,6 @@ impl Default for ThickValue {
     }
 }
 
-/// Restores the canonical form of a segment list in place: single-lane
-/// segments get stride 0, adjacent segments continuing one progression
-/// merge, empty segments vanish.
-fn merge_segs(segs: &mut Vec<Seg>) {
-    let mut out = 0usize;
-    for i in 0..segs.len() {
-        let mut s = segs[i];
-        if s.len == 0 {
-            continue;
-        }
-        if s.len == 1 {
-            s.stride = 0;
-        }
-        if out > 0 {
-            let prev = segs[out - 1];
-            let cont = prev.get(prev.len as usize); // extrapolated next lane
-            let merged = if prev.len == 1 && s.len == 1 {
-                // Two adjacent single-lane segments always form a two-lane
-                // progression. Masked write-backs splice runs at mask
-                // boundaries and leave single-lane fringes behind; without
-                // this rule a rejoin could grow the run count one fringe
-                // at a time.
-                Some(Seg {
-                    len: 2,
-                    base: prev.base,
-                    stride: s.base.wrapping_sub(prev.base),
-                })
-            } else if prev.len == 1 && s.base == prev.base.wrapping_add(s.stride) {
-                // A single-lane segment is the head of any progression.
-                Some(Seg {
-                    len: prev.len + s.len,
-                    base: prev.base,
-                    stride: s.stride,
-                })
-            } else if s.base == cont && (s.stride == prev.stride || s.len == 1) {
-                Some(Seg {
-                    len: prev.len + s.len,
-                    base: prev.base,
-                    stride: prev.stride,
-                })
-            } else {
-                None
-            };
-            if let Some(m) = merged {
-                segs[out - 1] = m;
-                continue;
-            }
-        }
-        segs[out] = s;
-        out += 1;
-    }
-    segs.truncate(out);
-}
-
 /// One run of a [`LaneMask`]: `len` consecutive lanes starting at `start`
 /// (relative to the mask's queried range), all selected (`set`) or all
 /// masked out.
@@ -625,15 +433,13 @@ pub enum MaskError {
 #[derive(Debug, Default, Clone)]
 pub struct LaneMask {
     runs: Vec<MaskRun>,
-    /// Scratch for the condition's affine pieces.
-    segs: Vec<Seg>,
 }
 
 impl LaneMask {
     /// Rebuilds the mask as the truthiness runs of `v` over lanes
     /// `[lo, lo + len)`. Uniform and segment pieces classify wholesale; a
     /// non-uniform piece classifies only when its progression is exact
-    /// ([`progression_exact`]) — an exact progression passes through zero
+    /// ([`Seg::exact_last`]) — an exact progression passes through zero
     /// at most once, splitting the piece into at most three runs. Adjacent
     /// same-truthiness runs merge, so the result is alternating. Fails
     /// with [`MaskError::Lanes`] on `PerThread` or inexact-progression
@@ -647,13 +453,10 @@ impl LaneMask {
         budget: usize,
     ) -> Result<(), MaskError> {
         self.runs.clear();
-        self.segs.clear();
         if len == 0 {
             return Ok(());
         }
-        if !v.piece_runs(lo, len, &mut self.segs) {
-            return Err(MaskError::Lanes);
-        }
+        let pieces = v.pieces(lo, lo + len).ok_or(MaskError::Lanes)?;
         fn push(runs: &mut Vec<MaskRun>, start: usize, len: usize, set: bool) {
             if len == 0 {
                 return;
@@ -666,14 +469,14 @@ impl LaneMask {
             }
             runs.push(MaskRun { start, len, set });
         }
-        let LaneMask { runs, segs } = self;
+        let runs = &mut self.runs;
         let mut start = 0usize;
-        for s in segs.iter() {
+        for s in pieces {
             let plen = s.len as usize;
             if s.stride == 0 || plen == 1 {
                 push(runs, start, plen, s.base != 0);
             } else {
-                if !progression_exact(s.base, s.stride, plen) {
+                if s.exact_last().is_none() {
                     return Err(MaskError::Lanes);
                 }
                 // Exact ⇒ the progression hits zero at most once, at
@@ -732,32 +535,23 @@ pub struct AffineRuns {
 impl AffineRuns {
     fn one(len: usize, base: Word, stride: Word) -> AffineRuns {
         let mut r = AffineRuns::default();
-        r.push(len, base, stride);
+        r.push(Seg::new(len, base, stride));
         r
     }
 
-    fn push(&mut self, len: usize, base: Word, stride: Word) {
-        if len == 0 {
-            return;
+    /// Appends `run`, merged into the last one only when it is that
+    /// progression going on ([`Seg::continued_by`]). The runs are spliced
+    /// into a register next, and only there — with the register's own
+    /// runs in view — may a single lane adopt a stride
+    /// ([`Seg::try_merge`]): `1 | 0 | 0 0 0` is a one and a run of zeros,
+    /// not `1 0` followed by zeros.
+    #[inline]
+    fn push(&mut self, run: Seg) {
+        let last = self.runs[..self.n].last_mut();
+        if let Some(run) = run.append_to(last, Seg::continued_by) {
+            self.runs[self.n] = run;
+            self.n += 1;
         }
-        let stride = if len == 1 { 0 } else { stride };
-        if self.n > 0 {
-            let prev = &mut self.runs[self.n - 1];
-            let cont = prev.get(prev.len as usize);
-            if base == cont && (stride == prev.stride || len == 1 || prev.len == 1) {
-                if prev.len == 1 {
-                    prev.stride = stride;
-                }
-                prev.len += len as u32;
-                return;
-            }
-        }
-        self.runs[self.n] = Seg {
-            len: len as u32,
-            base,
-            stride,
-        };
-        self.n += 1;
     }
 
     /// The runs, in lane order.
@@ -771,24 +565,12 @@ impl AffineRuns {
         let mut k = k;
         for s in self.runs() {
             if k < s.len as usize {
-                return s.get(k);
+                return s.at(k);
             }
             k -= s.len as usize;
         }
         0
     }
-}
-
-/// Whether the exact (unwrapped) progression `base + stride·k` stays
-/// within `Word` range for all `k in [0, len)` — i.e. wrapping per-lane
-/// evaluation agrees with exact integer arithmetic over the run.
-#[inline]
-fn progression_exact(base: Word, stride: Word, len: usize) -> bool {
-    if len == 0 {
-        return true;
-    }
-    let last = base as i128 + stride as i128 * (len - 1) as i128;
-    last >= Word::MIN as i128 && last <= Word::MAX as i128
 }
 
 /// Lane-ordered region lengths `(a, b, c)` of the sign of the exact
@@ -827,7 +609,7 @@ fn sign_regions(db: i128, ds: i128, len: usize) -> [(usize, core::cmp::Ordering)
 /// caller falls back to per-lane evaluation). The result is bit-exact
 /// with per-lane [`AluOp::eval`] — comparisons and min/max, which are
 /// not modular, are only folded when both progressions stay in exact
-/// range ([`progression_exact`]).
+/// range ([`Seg::exact_last`]).
 pub fn affine_alu(
     op: AluOp,
     (ab, astride): (Word, Word),
@@ -906,31 +688,23 @@ pub fn affine_alu(
         | AluOp::Sge
         | AluOp::Min
         | AluOp::Max => {
-            if !progression_exact(ab, astride, len) || !progression_exact(bb, bstride, len) {
-                return None;
-            }
+            let (mut a, mut b) = (Seg::new(len, ab, astride), Seg::new(len, bb, bstride));
+            a.exact_last()?;
+            b.exact_last()?;
             // Sign of d(k) = a(k) - b(k), exactly (operands unwrapped, so
             // the i128 difference is the true difference).
             let db = ab as i128 - bb as i128;
             let ds = astride as i128 - bstride as i128;
             let mut out = AffineRuns::default();
-            let mut at = 0usize;
             for (rlen, ord) in sign_regions(db, ds, len) {
-                if rlen == 0 {
-                    continue;
-                }
-                match op {
-                    AluOp::Min => {
-                        // d ≤ 0 → a, else b (ties read identically).
-                        let take_a = ord != Ordering::Greater;
-                        let (vb, vs) = if take_a { (ab, astride) } else { (bb, bstride) };
-                        out.push(rlen, vb.wrapping_add(vs.wrapping_mul(at as Word)), vs);
-                    }
-                    AluOp::Max => {
-                        let take_a = ord != Ordering::Less;
-                        let (vb, vs) = if take_a { (ab, astride) } else { (bb, bstride) };
-                        out.push(rlen, vb.wrapping_add(vs.wrapping_mul(at as Word)), vs);
-                    }
+                let (region_a, region_b);
+                (region_a, a) = a.split_at(rlen);
+                (region_b, b) = b.split_at(rlen);
+                out.push(match op {
+                    // d ≤ 0 → a, else b (ties read identically).
+                    AluOp::Min if ord != Ordering::Greater => region_a,
+                    AluOp::Max if ord != Ordering::Less => region_a,
+                    AluOp::Min | AluOp::Max => region_b,
                     _ => {
                         let truthy = match op {
                             AluOp::Slt => ord == Ordering::Less,
@@ -941,10 +715,9 @@ pub fn affine_alu(
                             AluOp::Sge => ord != Ordering::Less,
                             _ => unreachable!(),
                         };
-                        out.push(rlen, truthy as Word, 0);
+                        Seg::new(rlen, truthy as Word, 0)
                     }
-                }
-                at += rlen;
+                });
             }
             Some(out)
         }
@@ -1102,11 +875,6 @@ impl ThickRegs {
             return;
         }
         let end = base + count;
-        let run = Seg {
-            len: count as u32,
-            base: vbase,
-            stride: if count == 1 { 0 } else { vstride },
-        };
         let reg = &mut self.regs[r.index()];
         match reg {
             ThickValue::PerThread(vs) => {
@@ -1129,12 +897,11 @@ impl ThickRegs {
                 }
                 // Splice the run into the compressed value: keep what is
                 // below `base` and above `end`, canonicalize, collapse.
-                let total = thickness.max(end);
-                let mut segs: Vec<Seg> = Vec::with_capacity(4);
-                reg.append_range_segs(0, base, &mut segs);
-                segs.push(run);
-                reg.append_range_segs(end, total, &mut segs);
-                *reg = ThickValue::from_segs(segs, thickness);
+                let pieces = |lo, hi| reg.pieces(lo, hi).into_iter().flatten();
+                let spliced = pieces(0, base)
+                    .chain([Seg::new(count, vbase, vstride)])
+                    .chain(pieces(end, thickness.max(end)));
+                *reg = ThickValue::from_segs(spliced, thickness);
             }
         }
     }
@@ -1491,19 +1258,6 @@ mod tests {
         assert_eq!(v.materialize(4), vec![1, 2, 0, 0]);
         let u = ThickValue::Uniform(9);
         assert_eq!(u.materialize(3), vec![9, 9, 9]);
-    }
-
-    #[test]
-    fn materialize_into_reuses_and_matches_materialize() {
-        let mut buf = vec![99; 16];
-        let v = ThickValue::PerThread(vec![1, 2]);
-        v.materialize_into(4, &mut buf);
-        assert_eq!(buf, v.materialize(4));
-        let u = ThickValue::Uniform(7);
-        u.materialize_into(2, &mut buf);
-        assert_eq!(buf, u.materialize(2));
-        u.materialize_into(0, &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -1981,9 +1735,46 @@ mod tests {
     #[test]
     fn affine_alu_matches_scalar_eval() {
         // Every closed-form result must agree lane for lane with the
-        // scalar ALU on materialized operands, across all 22 ops and a
-        // grid of operand progressions (including wrapping ones).
-        let opnds: [(Word, Word); 8] = [
+        // scalar ALU on materialized operands and cover exactly `len`
+        // lanes, across all 22 ops — exhaustively on small domains, not
+        // by sampling: a one-lane region beside a coinciding value (the
+        // `min`/`max` of two crossing progressions) only shows up when
+        // every base meets every stride at every length.
+        fn check(grid: &[(Word, Word)], lens: std::ops::RangeInclusive<usize>) {
+            for op in AluOp::ALL {
+                for &a in grid {
+                    for &b in grid {
+                        for len in lens.clone() {
+                            let Some(runs) = affine_alu(op, a, b, len) else {
+                                continue;
+                            };
+                            let total: usize = runs.runs().iter().map(|s| s.len as usize).sum();
+                            assert_eq!(total, len, "{op:?} a={a:?} b={b:?} covers all lanes");
+                            for k in 0..len {
+                                assert_eq!(
+                                    runs.get(k),
+                                    op.eval(at(a.0, a.1, k), at(b.0, b.1, k)),
+                                    "{op:?} lane {k} of {len} a={a:?} b={b:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let grid = |bases: &[Word], strides: std::ops::RangeInclusive<Word>| -> Vec<(Word, Word)> {
+            bases
+                .iter()
+                .flat_map(|&b| strides.clone().map(move |s| (b, s)))
+                .collect()
+        };
+        let small: Vec<Word> = (-8..=8).collect();
+        check(&grid(&small, -4..=4), 1..=6);
+        let (max, min) = (Word::MAX, Word::MIN);
+        let edges = [max, max - 1, max - 5, min, min + 1, min + 5, 0, 1, -1];
+        check(&grid(&edges, -3..=3), 1..=5);
+        // Long strides and progressions that wrap within the run.
+        let wrapping = [
             (0, 1),
             (5, 0),
             (-3, 2),
@@ -1993,27 +1784,7 @@ mod tests {
             (Word::MIN + 2, -1),
             (2, 63),
         ];
-        let len = 8usize;
-        for op in AluOp::ALL {
-            for a in opnds {
-                for b in opnds {
-                    let Some(runs) = affine_alu(op, a, b, len) else {
-                        continue;
-                    };
-                    let total: usize = runs.runs().iter().map(|s| s.len as usize).sum();
-                    assert_eq!(total, len, "{op:?} a={a:?} b={b:?} covers all lanes");
-                    for k in 0..len {
-                        let av = a.0.wrapping_add(a.1.wrapping_mul(k as Word));
-                        let bv = b.0.wrapping_add(b.1.wrapping_mul(k as Word));
-                        assert_eq!(
-                            runs.get(k),
-                            op.eval(av, bv),
-                            "{op:?} lane {k} a={a:?} b={b:?}"
-                        );
-                    }
-                }
-            }
-        }
+        check(&wrapping, 8..=8);
     }
 
     #[test]

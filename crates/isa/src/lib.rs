@@ -28,7 +28,9 @@
 //!
 //! Instruction *semantics* that are identical across all execution models —
 //! pure ALU evaluation — live here too ([`op::AluOp::eval`]), so that the
-//! baseline and the extended model cannot drift apart.
+//! baseline and the extended model cannot drift apart. So does the shape a
+//! thick instruction's operands take — runs of lanes in arithmetic
+//! progression ([`progression`]) — because every layer above holds some.
 
 pub mod asm;
 pub mod builder;
@@ -37,6 +39,7 @@ pub mod error;
 pub mod instr;
 pub mod op;
 pub mod program;
+pub mod progression;
 pub mod reg;
 pub mod word;
 

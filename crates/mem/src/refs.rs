@@ -4,6 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use tcf_isa::instr::MultiKind;
+use tcf_isa::progression::{AddrRun, Seg};
 use tcf_isa::word::{Addr, Word};
 
 /// Where a reference comes from, used for deterministic ordering.
@@ -134,17 +135,6 @@ impl MemOp {
         )
     }
 
-    /// Number of lanes a bulk reference expands to (1 for scalar ops).
-    #[inline]
-    pub fn bulk_count(&self) -> u32 {
-        match *self {
-            MemOp::StridedRead { count, .. }
-            | MemOp::StridedWrite { count, .. }
-            | MemOp::BulkMulti { count, .. } => count,
-            _ => 1,
-        }
-    }
-
     /// Number of lane references this operation stands for.
     #[inline]
     pub fn lanes(&self) -> usize {
@@ -153,6 +143,84 @@ impl MemOp {
             | MemOp::StridedWrite { count, .. }
             | MemOp::BulkMulti { count, .. } => count as usize,
             _ => 1,
+        }
+    }
+
+    /// The address progression of the reference; a scalar operation is a
+    /// run of one lane.
+    #[inline]
+    pub fn addrs(&self) -> AddrRun {
+        match *self {
+            MemOp::StridedRead {
+                base,
+                stride,
+                count,
+            }
+            | MemOp::StridedWrite {
+                base,
+                stride,
+                count,
+                ..
+            }
+            | MemOp::BulkMulti {
+                base,
+                astride: stride,
+                count,
+                ..
+            } => AddrRun {
+                base,
+                stride,
+                count,
+            },
+            _ => AddrRun {
+                base: self.addr(),
+                stride: 0,
+                count: 1,
+            },
+        }
+    }
+
+    /// The value progression a bulk reference carries — what its lanes
+    /// write or contribute. Empty for reads and scalar operations.
+    #[inline]
+    pub fn values(&self) -> Seg {
+        match *self {
+            MemOp::StridedWrite {
+                count,
+                vbase,
+                vstride,
+                ..
+            }
+            | MemOp::BulkMulti {
+                count,
+                vbase,
+                vstride,
+                ..
+            } => Seg {
+                len: count,
+                base: vbase,
+                stride: vstride,
+            },
+            _ => Seg::default(),
+        }
+    }
+
+    /// The scalar operation of lane `k`: a bulk reference *is* its lanes
+    /// `0..lanes()` in order, lane `k` at global rank `origin.rank + k`.
+    /// Lane addresses saturate ([`AddrRun::saturating_at`]), so a lane
+    /// that left the address space faults in the scalar step.
+    #[inline]
+    pub fn lane(&self, k: usize) -> MemOp {
+        let addr = self.addrs().saturating_at(k);
+        let v = self.values().at(k);
+        match *self {
+            MemOp::StridedRead { .. } => MemOp::Read(addr),
+            MemOp::StridedWrite { .. } => MemOp::Write(addr, v),
+            MemOp::BulkMulti {
+                kind, prefix: true, ..
+            } => MemOp::Prefix(kind, addr, v),
+            MemOp::BulkMulti { kind, .. } => MemOp::Multi(kind, addr, v),
+            scalar => scalar,
         }
     }
 }

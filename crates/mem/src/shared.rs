@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use tcf_isa::instr::MultiKind;
 use tcf_isa::program::DataBlock;
+use tcf_isa::progression::{AddrRun, Seg};
 use tcf_isa::word::{Addr, Word};
 
 use crate::error::MemError;
@@ -96,10 +97,8 @@ pub struct BulkPathStats {
 pub struct StepScratch {
     /// `(addr, ref index)` pairs, sorted to group references by address.
     pairs: Vec<(Addr, usize)>,
-    /// Pending `(ref index, reply)` pairs of the step.
-    replies: Vec<(usize, Word)>,
-    /// Staged `(addr, new value)` writes of the step.
-    staged: Vec<(Addr, Word)>,
+    /// The step's pending replies and staged writes.
+    out: ShardOutcome,
     /// Per-address resolution arena.
     addr: AddrScratch,
     /// Lane-expanded references of a bulk step that could not take the
@@ -358,52 +357,77 @@ impl SharedMemory {
         // The step is atomic: new values are staged and applied only after
         // every address resolved without fault, so a failed step never
         // leaves partial writes behind.
-        scratch.replies.clear();
-        scratch.staged.clear();
-
         self.resolve_pairs(refs, scratch, &mut stats)?;
-        for &(i, v) in &scratch.replies {
-            replies[i] = Some(v);
-        }
-        for &(addr, value) in &scratch.staged {
-            self.words[addr] = value;
-        }
-
+        self.apply_scalars(&scratch.out, replies);
         Ok(stats)
     }
 
     /// Resolves the sorted `(addr, index)` pairs in `scratch.pairs` into
-    /// `scratch.replies`/`scratch.staged`, accumulating `hot_addrs` and
-    /// `combined` into `stats` — the address-grouped core of
-    /// [`step_into`](SharedMemory::step_into), shared with the
-    /// scalar-subset resolution of the bulk path.
+    /// the cleared `scratch.out` and adds its `hot_addrs`/`combined` to
+    /// `stats` — the scalar resolution of
+    /// [`step_into`](SharedMemory::step_into) and of the bulk path's
+    /// scalar subset.
     fn resolve_pairs(
         &self,
         refs: &[MemRef],
         scratch: &mut StepScratch,
         stats: &mut StepStats,
     ) -> Result<(), MemError> {
+        let StepScratch {
+            pairs, addr, out, ..
+        } = scratch;
+        out.staged.clear();
+        out.replies.clear();
+        (out.hot_addrs, out.combined) = (0, 0);
+        self.resolve_sorted(refs, pairs, addr, out)?;
+        stats.hot_addrs += out.hot_addrs;
+        stats.combined += out.combined;
+        Ok(())
+    }
+
+    /// Fills the (cleared, per-reference) reply slots from a resolved
+    /// outcome and applies its staged writes.
+    fn apply_scalars(&mut self, out: &ShardOutcome, replies: &mut [Option<Word>]) {
+        for &(i, v) in &out.replies {
+            replies[i] = Some(v);
+        }
+        for &(addr, value) in &out.staged {
+            self.words[addr] = value;
+        }
+    }
+
+    /// The address-grouped core of every scalar resolution: walks the
+    /// sorted `(addr, index)` pairs one address at a time, in ascending
+    /// order, appending replies, staged values and conflict counts to
+    /// `out`. Pure with respect to the stored words.
+    fn resolve_sorted(
+        &self,
+        refs: &[MemRef],
+        pairs: &[(Addr, usize)],
+        arena: &mut AddrScratch,
+        out: &mut ShardOutcome,
+    ) -> Result<(), MemError> {
         let mut start = 0;
-        while start < scratch.pairs.len() {
-            let addr = scratch.pairs[start].0;
+        while start < pairs.len() {
+            let addr = pairs[start].0;
             let mut end = start + 1;
-            while end < scratch.pairs.len() && scratch.pairs[end].0 == addr {
+            while end < pairs.len() && pairs[end].0 == addr {
                 end += 1;
             }
             let value = if end - start == 1 {
                 // Overwhelmingly common case (per-thread strided access):
                 // one reference per address needs no policy check and no
                 // combine arena.
-                self.resolve_single(scratch.pairs[start].1, refs, &mut scratch.replies)
+                self.resolve_single(pairs[start].1, refs, &mut out.replies)
             } else {
-                stats.hot_addrs += 1;
-                let run = &scratch.pairs[start..end];
+                out.hot_addrs += 1;
+                let run = &pairs[start..end];
                 let (value, combined) =
-                    self.resolve_addr(addr, run, refs, &mut scratch.addr, &mut scratch.replies)?;
-                stats.combined += combined;
+                    self.resolve_addr(addr, run, refs, arena, &mut out.replies)?;
+                out.combined += combined;
                 value
             };
-            scratch.staged.push((addr, value));
+            out.staged.push((addr, value));
             start = end;
         }
         Ok(())
@@ -433,9 +457,7 @@ impl SharedMemory {
                 replies.push((i, old));
                 kind.combine(old, v)
             }
-            MemOp::StridedRead { .. } | MemOp::StridedWrite { .. } | MemOp::BulkMulti { .. } => {
-                unreachable!("bulk references resolve through step_bulk_into")
-            }
+            _ => unreachable!("bulk references resolve through step_bulk_into"),
         }
     }
 
@@ -480,11 +502,7 @@ impl SharedMemory {
                 MemOp::Prefix(kind, _, v) => {
                     arena.combines[kind as usize].push((refs[i].origin.rank, v, Some(i)));
                 }
-                MemOp::StridedRead { .. }
-                | MemOp::StridedWrite { .. }
-                | MemOp::BulkMulti { .. } => {
-                    unreachable!("bulk references resolve through step_bulk_into")
-                }
+                _ => unreachable!("bulk references resolve through step_bulk_into"),
             }
         }
 
@@ -655,26 +673,7 @@ impl SharedMemory {
             .extend(idxs.iter().map(|&i| (refs[i].op.addr(), i)));
         scratch.pairs.sort_unstable();
         let mut out = ShardOutcome::default();
-        let mut start = 0;
-        while start < scratch.pairs.len() {
-            let addr = scratch.pairs[start].0;
-            let mut end = start + 1;
-            while end < scratch.pairs.len() && scratch.pairs[end].0 == addr {
-                end += 1;
-            }
-            let value = if end - start == 1 {
-                self.resolve_single(scratch.pairs[start].1, refs, &mut out.replies)
-            } else {
-                out.hot_addrs += 1;
-                let run = &scratch.pairs[start..end];
-                let (value, combined) =
-                    self.resolve_addr(addr, run, refs, &mut scratch.addr, &mut out.replies)?;
-                out.combined += combined;
-                value
-            };
-            out.staged.push((addr, value));
-            start = end;
-        }
+        self.resolve_sorted(refs, &scratch.pairs, &mut scratch.addr, &mut out)?;
         Ok(out)
     }
 
@@ -735,7 +734,7 @@ impl SharedMemory {
         if self.bulk_overlaps(refs) {
             for r in refs.iter().filter(|r| r.op.is_bulk()) {
                 self.bulk_stats.expanded += 1;
-                self.bulk_stats.expanded_lanes += r.op.bulk_count() as u64;
+                self.bulk_stats.expanded_lanes += r.op.lanes() as u64;
             }
             return self.step_bulk_expanded(refs, scratch, replies, bulk);
         }
@@ -750,55 +749,18 @@ impl SharedMemory {
         // address once with `total - 1` combines, matching the expansion.
         let mut hot: Vec<(Addr, usize)> = Vec::new();
         for r in refs {
-            match r.op {
-                MemOp::StridedRead {
-                    base,
-                    stride,
-                    count,
-                }
-                | MemOp::StridedWrite {
-                    base,
-                    stride,
-                    count,
-                    ..
-                } => {
-                    if let Some(addr) = self.first_oob_lane(base, stride, count) {
-                        return Err(MemError::OutOfBounds {
-                            addr,
-                            size: self.words.len(),
-                        });
-                    }
-                    stats.refs += count as usize;
-                    self.count_strided_modules(base, stride, count, &mut stats);
-                }
-                MemOp::BulkMulti {
-                    base,
-                    astride,
-                    count,
-                    ..
-                } => {
-                    if let Some(addr) = self.first_oob_lane(base, astride, count) {
-                        return Err(MemError::OutOfBounds {
-                            addr,
-                            size: self.words.len(),
-                        });
-                    }
-                    stats.refs += count as usize;
-                    self.count_strided_modules(base, astride, count, &mut stats);
-                    if astride == 0 && count >= 1 {
-                        hot.push((base, count as usize));
-                    }
-                }
-                op => {
-                    let addr = op.addr();
-                    if addr >= self.words.len() {
-                        return Err(MemError::OutOfBounds {
-                            addr,
-                            size: self.words.len(),
-                        });
-                    }
-                    stats.refs += 1;
-                    stats.per_module[self.module_of(addr)] += 1;
+            let run = r.op.addrs();
+            if let Some(addr) = run.first_outside(self.words.len()) {
+                return Err(MemError::OutOfBounds {
+                    addr,
+                    size: self.words.len(),
+                });
+            }
+            stats.refs += run.count as usize;
+            self.count_strided_modules(run, &mut stats);
+            if let Some(((base, ..), lo, hi)) = r.multi_chain_key() {
+                if hi > lo {
+                    hot.push((base, hi - lo));
                 }
             }
         }
@@ -831,139 +793,98 @@ impl SharedMemory {
                 .map(|(i, r)| (r.op.addr(), i)),
         );
         scratch.pairs.sort_unstable();
-        scratch.replies.clear();
-        scratch.staged.clear();
         self.resolve_pairs(refs, scratch, &mut stats)?;
 
         // Gather bulk reads against the pre-step state (scalar writes are
-        // still only staged), then apply scalar writes and scatter bulk
-        // writes — disjointness makes the write order immaterial. Bulk
-        // multioperations resolve in this same pass: disjointness proves
-        // no other reference of the step touches their addresses, so the
+        // still only staged), resolve bulk multioperations and scatter
+        // bulk writes in the same pass, then apply the scalar writes.
+        // Disjointness proves no other reference of the step touches a
+        // bulk reference's addresses, so neither a scatter nor a
         // read-combine-write (and its prefix replies, pushed in reference
-        // order like the reads) cannot be observed out of order.
+        // order like the reads) can be observed out of order.
         for (i, r) in refs.iter().enumerate() {
+            let (run, values) = (r.op.addrs(), r.op.values());
+            let lanes = 0..run.count as usize;
             match r.op {
-                MemOp::StridedRead {
-                    base,
-                    stride,
-                    count,
-                } => {
-                    bulk.push_gathered(
-                        i,
-                        (0..count as usize)
-                            .map(|k| self.words[(base as i64 + k as i64 * stride) as usize]),
-                    );
+                MemOp::StridedRead { .. } => {
+                    bulk.push_gathered(i, lanes.map(|k| self.words[run.at(k)]));
                 }
-                MemOp::BulkMulti {
-                    kind,
-                    prefix,
-                    base,
-                    astride,
-                    count,
-                    vbase,
-                    vstride,
-                } => {
-                    self.resolve_bulk_multi(
-                        i, kind, prefix, base, astride, count, vbase, vstride, bulk,
-                    );
+                MemOp::StridedWrite { .. } => {
+                    for k in lanes {
+                        self.words[run.at(k)] = values.at(k);
+                    }
+                }
+                MemOp::BulkMulti { kind, prefix, .. } => {
+                    self.resolve_bulk_multi(i, kind, prefix, run, values, bulk);
                 }
                 _ => {}
             }
         }
         replies.clear();
         replies.resize(refs.len(), None);
-        for &(i, v) in &scratch.replies {
-            replies[i] = Some(v);
-        }
-        for &(addr, value) in &scratch.staged {
-            self.words[addr] = value;
-        }
-        for r in refs {
-            if let MemOp::StridedWrite {
-                base,
-                stride,
-                count,
-                vbase,
-                vstride,
-            } = r.op
-            {
-                for k in 0..count as usize {
-                    let addr = (base as i64 + k as i64 * stride) as usize;
-                    self.words[addr] = vbase.wrapping_add((k as Word).wrapping_mul(vstride));
-                }
-            }
-        }
-
+        self.apply_scalars(&scratch.out, replies);
         Ok(stats)
     }
 
     /// Resolves one disjoint-path `BulkMulti`: lane `k` contributes
-    /// `vbase + k·vstride` to `base + k·astride`, with rank order equal
-    /// to lane order by construction. With `astride == 0` the whole run
-    /// combines into one word: `Add` folds by the arithmetic-series sum
-    /// in O(1) (exact mod 2^64), `Max`/`Min` take the progression's
-    /// endpoint extremes when it provably does not wrap, the bitwise
-    /// kinds collapse for uniform contributions, and anything else folds
-    /// the `count` values directly — still without materializing per-lane
+    /// `values.at(k)` to `run.at(k)`, with rank order equal to lane order
+    /// by construction. With a zero address stride the whole run combines
+    /// into one word: `Add` folds by the arithmetic-series sum in O(1)
+    /// (exact mod 2^64), `Max`/`Min` take the progression's endpoint
+    /// extremes when it provably does not wrap, the bitwise kinds
+    /// collapse for uniform contributions, and anything else folds the
+    /// `count` values directly — still without materializing per-lane
     /// `MemRef`s or touching the combine arena. Prefix replies are the
     /// running combine in lane (= rank) order, pushed through the same
     /// compressing reply arena as bulk reads. Only called from the
     /// disjoint fast path, where no other reference of the step can touch
     /// this reference's addresses.
-    #[allow(clippy::too_many_arguments)]
     fn resolve_bulk_multi(
         &mut self,
         ref_idx: usize,
         kind: MultiKind,
         prefix: bool,
-        base: Addr,
-        astride: i64,
-        count: u32,
-        vbase: Word,
-        vstride: Word,
+        run: AddrRun,
+        values: Seg,
         bulk: &mut BulkReplies,
     ) {
-        let count = count as usize;
+        let count = run.count as usize;
         if count == 0 {
             if prefix {
                 bulk.push_gathered(ref_idx, std::iter::empty());
             }
             return;
         }
-        let contrib = |k: usize| vbase.wrapping_add((k as Word).wrapping_mul(vstride));
-        if astride != 0 {
+        if run.stride != 0 {
             // Distinct addresses: every lane is its combine's sole
             // participant, so its exclusive prefix is the word's old
             // value (the combine seed).
             if prefix {
-                bulk.push_gathered(
-                    ref_idx,
-                    (0..count).map(|k| self.words[(base as i64 + k as i64 * astride) as usize]),
-                );
+                bulk.push_gathered(ref_idx, (0..count).map(|k| self.words[run.at(k)]));
             }
             for k in 0..count {
-                let addr = (base as i64 + k as i64 * astride) as usize;
-                self.words[addr] = kind.combine(self.words[addr], contrib(k));
+                let addr = run.at(k);
+                self.words[addr] = kind.combine(self.words[addr], values.at(k));
             }
             return;
         }
-        let old = self.words[base];
+        let old = self.words[run.base];
         if prefix {
             let mut acc = old;
             bulk.push_gathered(
                 ref_idx,
                 (0..count).map(|k| {
                     let p = acc;
-                    acc = kind.combine(acc, contrib(k));
+                    acc = kind.combine(acc, values.at(k));
                     p
                 }),
             );
-            self.words[base] = acc;
+            self.words[run.base] = acc;
             return;
         }
-        let new = match kind {
-            MultiKind::Add => {
+        let (vbase, vstride) = (values.base, values.stride);
+        let new = match (kind, values.exact_last()) {
+            (MultiKind::Add, _) => {
                 // Σ_k (vbase + k·vstride) = count·vbase + vstride·T(count−1),
                 // with the triangular number taken mod 2^64 — wrapping
                 // addition is associative and commutative, so the series
@@ -972,19 +893,13 @@ impl SharedMemory {
                 old.wrapping_add((count as Word).wrapping_mul(vbase))
                     .wrapping_add(vstride.wrapping_mul(tri))
             }
-            MultiKind::Max | MultiKind::Min if progression_fits(vbase, vstride, count) => {
-                // No wrap ⇒ the progression is monotone, so its extremes
-                // sit at the endpoints.
-                let last = contrib(count - 1);
-                if kind == MultiKind::Max {
-                    old.max(vbase.max(last))
-                } else {
-                    old.min(vbase.min(last))
-                }
-            }
-            MultiKind::And if vstride == 0 => old & vbase,
-            MultiKind::Or if vstride == 0 => old | vbase,
-            MultiKind::Xor if vstride == 0 => {
+            // No wrap ⇒ the progression is monotone, so its extremes sit
+            // at the endpoints.
+            (MultiKind::Max, Some(last)) => old.max(vbase.max(last)),
+            (MultiKind::Min, Some(last)) => old.min(vbase.min(last)),
+            (MultiKind::And, _) if vstride == 0 => old & vbase,
+            (MultiKind::Or, _) if vstride == 0 => old | vbase,
+            (MultiKind::Xor, _) if vstride == 0 => {
                 if count % 2 == 1 {
                     old ^ vbase
                 } else {
@@ -995,14 +910,14 @@ impl SharedMemory {
             // every kind is associative and commutative).
             _ => crate::module::fold_progression(kind, old, vbase, vstride, count),
         };
-        self.words[base] = new;
+        self.words[run.base] = new;
     }
 
     /// The literal-expansion fallback of
     /// [`step_bulk_into`](SharedMemory::step_bulk_into): replace every
-    /// bulk reference by its lanes in place (lane `k` gets rank
-    /// `origin.rank + k`), run the scalar step, and reassemble the bulk
-    /// replies. Trivially equivalent to the defined semantics.
+    /// bulk reference by its lanes in place ([`MemOp::lane`], lane `k` at
+    /// rank `origin.rank + k`), run the scalar step, and reassemble the
+    /// bulk replies. Trivially equivalent to the defined semantics.
     fn step_bulk_expanded(
         &mut self,
         refs: &[MemRef],
@@ -1014,60 +929,12 @@ impl SharedMemory {
         let mut flat_replies = std::mem::take(&mut scratch.flat_replies);
         flat.clear();
         for r in refs {
-            match r.op {
-                MemOp::StridedRead {
-                    base,
-                    stride,
-                    count,
-                } => {
-                    flat.extend((0..count as usize).map(|k| {
-                        MemRef::new(
-                            RefOrigin::new(r.origin.group, r.origin.rank + k),
-                            MemOp::Read(Self::lane_addr(base, stride, k)),
-                        )
-                    }));
-                }
-                MemOp::StridedWrite {
-                    base,
-                    stride,
-                    count,
-                    vbase,
-                    vstride,
-                } => {
-                    flat.extend((0..count as usize).map(|k| {
-                        MemRef::new(
-                            RefOrigin::new(r.origin.group, r.origin.rank + k),
-                            MemOp::Write(
-                                Self::lane_addr(base, stride, k),
-                                vbase.wrapping_add((k as Word).wrapping_mul(vstride)),
-                            ),
-                        )
-                    }));
-                }
-                MemOp::BulkMulti {
-                    kind,
-                    prefix,
-                    base,
-                    astride,
-                    count,
-                    vbase,
-                    vstride,
-                } => {
-                    flat.extend((0..count as usize).map(|k| {
-                        let addr = Self::lane_addr(base, astride, k);
-                        let v = vbase.wrapping_add((k as Word).wrapping_mul(vstride));
-                        MemRef::new(
-                            RefOrigin::new(r.origin.group, r.origin.rank + k),
-                            if prefix {
-                                MemOp::Prefix(kind, addr, v)
-                            } else {
-                                MemOp::Multi(kind, addr, v)
-                            },
-                        )
-                    }));
-                }
-                _ => flat.push(*r),
-            }
+            flat.extend((0..r.op.lanes()).map(|k| {
+                MemRef::new(
+                    RefOrigin::new(r.origin.group, r.origin.rank + k),
+                    r.op.lane(k),
+                )
+            }));
         }
         let result = self.step_into(&flat, scratch, &mut flat_replies);
         scratch.flat = flat;
@@ -1082,97 +949,36 @@ impl SharedMemory {
         replies.resize(refs.len(), None);
         let mut pos = 0usize;
         for (i, r) in refs.iter().enumerate() {
-            match r.op {
-                MemOp::StridedRead { count, .. } => {
-                    bulk.push_gathered(
-                        i,
-                        flat_replies[pos..pos + count as usize]
-                            .iter()
-                            .map(|v| v.expect("lane read always replies")),
-                    );
-                    pos += count as usize;
-                }
-                MemOp::StridedWrite { count, .. } => pos += count as usize,
-                MemOp::BulkMulti { prefix, count, .. } => {
-                    if prefix {
-                        bulk.push_gathered(
-                            i,
-                            flat_replies[pos..pos + count as usize]
-                                .iter()
-                                .map(|v| v.expect("lane prefix always replies")),
-                        );
-                    }
-                    pos += count as usize;
-                }
-                _ => {
-                    replies[i] = flat_replies[pos];
-                    pos += 1;
-                }
+            let lanes = &flat_replies[pos..pos + r.op.lanes()];
+            if !r.op.is_bulk() {
+                replies[i] = lanes[0];
+            } else if r.op.wants_reply() {
+                bulk.push_gathered(
+                    i,
+                    lanes
+                        .iter()
+                        .map(|v| v.expect("a replying lane always replies")),
+                );
             }
+            pos += lanes.len();
         }
         scratch.flat_replies = flat_replies;
         Ok(stats)
     }
 
-    /// Address of lane `k` of a strided reference. Negative lane
-    /// addresses cannot arise from a bounds-checked reference; in the
-    /// unchecked expansion they saturate to an out-of-range sentinel so
-    /// the scalar step faults instead of wrapping.
-    #[inline]
-    fn lane_addr(base: Addr, stride: i64, k: usize) -> Addr {
-        let a = base as i128 + k as i128 * stride as i128;
-        if a < 0 {
-            usize::MAX
-        } else {
-            a.min(usize::MAX as i128) as usize
-        }
-    }
-
-    /// First out-of-bounds lane address of a strided reference, if any —
-    /// the lane-order first fault, computed without walking the lanes.
-    /// Negative lane addresses report the [`lane_addr`](Self::lane_addr)
-    /// sentinel.
-    fn first_oob_lane(&self, base: Addr, stride: i64, count: u32) -> Option<Addr> {
-        if count == 0 {
-            return None;
-        }
-        let size = self.words.len() as i128;
-        let first = base as i128;
-        let last = base as i128 + (count as i128 - 1) * stride as i128;
-        if first >= 0 && first < size && last >= 0 && last < size {
-            // The progression is monotone, so its extremes are at the
-            // ends; both in bounds ⇒ every lane in bounds.
-            return None;
-        }
-        // Walk-free first offender: a monotone progression leaves the
-        // window exactly once.
-        let k = if first >= size {
-            0
-        } else if stride > 0 {
-            // first lane with base + k·stride ≥ size
-            ((size - first) + stride as i128 - 1) / stride as i128
-        } else if stride < 0 {
-            // first lane with base + k·stride < 0
-            (first / (-stride as i128)) + 1
-        } else {
-            0
-        };
-        Some(Self::lane_addr(base, stride, k as usize))
-    }
-
-    /// Adds a strided reference's per-module load to `stats`, matching
-    /// the lane expansion. Under low-order interleaving the progression's
+    /// Adds a reference's per-module load to `stats`, matching the lane
+    /// expansion. Under low-order interleaving the progression's
     /// residues cycle with period `modules / gcd(stride, modules)`, so
     /// the count folds into one pass over that cycle; a hashed map gets
     /// the per-lane walk.
-    fn count_strided_modules(&self, base: Addr, stride: i64, count: u32, stats: &mut StepStats) {
-        let count = count as usize;
+    fn count_strided_modules(&self, run: AddrRun, stats: &mut StepStats) {
+        let count = run.count as usize;
         match self.map {
             ModuleMap::Interleaved => {
                 let m = self.modules;
-                let s = stride.rem_euclid(m as i64) as usize;
+                let s = run.stride.rem_euclid(m as i64) as usize;
                 let cycle = if s == 0 { 1 } else { m / gcd(s, m) };
-                let mut module = base % m;
+                let mut module = run.base % m;
                 for k in 0..cycle.min(count) {
                     // Lanes k, k+cycle, k+2·cycle… all land on `module`.
                     stats.per_module[module] += (count - k).div_ceil(cycle);
@@ -1181,8 +987,7 @@ impl SharedMemory {
             }
             ModuleMap::LinearHash { .. } => {
                 for k in 0..count {
-                    let addr = (base as i64 + k as i64 * stride) as usize;
-                    stats.per_module[self.module_of(addr)] += 1;
+                    stats.per_module[self.module_of(run.at(k))] += 1;
                 }
             }
         }
@@ -1195,59 +1000,8 @@ impl SharedMemory {
     /// they share a stride (the common case: slices of one thick access),
     /// by address-interval intersection otherwise.
     fn bulk_overlaps(&self, refs: &[MemRef]) -> bool {
-        // Normalized (lo, hi, step, aligned) progressions of the bulk
-        // refs, with `step > 0`; scalar refs use step 0.
-        fn norm(op: &MemOp) -> Option<(i128, i128, i128)> {
-            match *op {
-                MemOp::StridedRead {
-                    base,
-                    stride,
-                    count,
-                }
-                | MemOp::StridedWrite {
-                    base,
-                    stride,
-                    count,
-                    ..
-                } => {
-                    if count == 0 {
-                        return None;
-                    }
-                    if stride == 0 && count > 1 {
-                        // Self-overlapping: every lane hits `base`.
-                        return Some((base as i128, base as i128, -1));
-                    }
-                    let first = base as i128;
-                    let last = base as i128 + (count as i128 - 1) * stride as i128;
-                    Some((
-                        first.min(last),
-                        first.max(last),
-                        (stride as i128).abs().max(1),
-                    ))
-                }
-                MemOp::BulkMulti {
-                    base,
-                    astride,
-                    count,
-                    ..
-                } => {
-                    if count == 0 {
-                        return None;
-                    }
-                    if astride == 0 {
-                        // Every lane combining into one word is the
-                        // reference's purpose, not a self-conflict: it
-                        // occupies a single-address span.
-                        return Some((base as i128, base as i128, 1));
-                    }
-                    let first = base as i128;
-                    let last = base as i128 + (count as i128 - 1) * astride as i128;
-                    Some((first.min(last), first.max(last), (astride as i128).abs()))
-                }
-                op => Some((op.addr() as i128, op.addr() as i128, 1)),
-            }
-        }
-        type Chain = ((Addr, tcf_isa::instr::MultiKind, bool), usize, usize);
+        type Chain = ((Addr, MultiKind, bool), usize, usize);
+        /// `(lo, hi, step)` of a reference's lane addresses, `step > 0`.
         type Span = ((i128, i128, i128), Option<Chain>);
         // A masked thick multioperation splits into up to one chained
         // same-word reference per mask run, so the cheap pairwise check
@@ -1256,14 +1010,19 @@ impl SharedMemory {
         let mut spans: [Option<Span>; 48] = [None; 48];
         let mut n = 0usize;
         for r in refs {
-            let Some(s) = norm(&r.op) else { continue };
-            if s.2 < 0 {
-                return true; // zero-stride bulk self-overlaps
-            }
+            let run = r.op.addrs();
+            let Some((lo2, hi2)) = run.span() else {
+                continue;
+            };
+            // Every lane of a same-word multioperation combining into
+            // that word is the reference's purpose, not a self-conflict;
+            // any other zero-stride bulk reference overlaps itself.
             let chain = r.multi_chain_key();
-            for &(prev, pchain) in spans.iter().take(n).flatten() {
-                let (lo1, hi1, s1) = prev;
-                let (lo2, hi2, s2) = s;
+            if run.stride == 0 && run.count > 1 && chain.is_none() {
+                return true;
+            }
+            let s2 = (run.stride as i128).abs().max(1);
+            for &((lo1, hi1, s1), pchain) in spans.iter().take(n).flatten() {
                 if hi1 < lo2 || hi2 < lo1 {
                     continue; // disjoint intervals
                 }
@@ -1293,20 +1052,11 @@ impl SharedMemory {
             if n == spans.len() {
                 return true; // too many spans to check cheaply: expand
             }
-            spans[n] = Some((s, chain));
+            spans[n] = Some(((lo2, hi2, s2), chain));
             n += 1;
         }
         false
     }
-}
-
-/// Whether `vbase + k·vstride` stays within `i64` for every `k < count`
-/// when computed exactly — the progression never wraps and is therefore
-/// monotone with its extremes at the endpoints. (Intermediate terms lie
-/// between the first and last, so checking the last term suffices.)
-fn progression_fits(vbase: Word, vstride: Word, count: usize) -> bool {
-    let last = vbase as i128 + (count as i128 - 1) * vstride as i128;
-    (i64::MIN as i128..=i64::MAX as i128).contains(&last)
 }
 
 /// Greatest common divisor (positive inputs).
@@ -1328,8 +1078,8 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 /// [`SharedMemory::step_bulk_into`] call.
 #[derive(Debug, Default, Clone)]
 pub struct BulkReplies {
-    /// `(reference index, data)` per replying bulk reference, in
-    /// reference order.
+    /// `(reference index, data)` per replying bulk reference, ascending
+    /// in reference index.
     entries: Vec<(usize, BulkData)>,
     /// Value arena backing [`BulkData::Values`].
     words: Vec<Word>,
@@ -1338,13 +1088,8 @@ pub struct BulkReplies {
 /// The shape of one bulk read's lane values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BulkData {
-    /// Lane `k` read `base + k·stride` (wrapping word arithmetic).
-    Affine {
-        /// Lane 0's value.
-        base: Word,
-        /// Per-lane increment.
-        stride: Word,
-    },
+    /// The lanes read one progression.
+    Affine(Seg),
     /// Lane values live in the arena at `start .. start + len`.
     Values {
         /// Arena offset of lane 0.
@@ -1357,13 +1102,8 @@ enum BulkData {
 /// A borrowed view of one bulk read's lane values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BulkView<'a> {
-    /// Lane `k` read `base + k·stride` (wrapping word arithmetic).
-    Affine {
-        /// Lane 0's value.
-        base: Word,
-        /// Per-lane increment.
-        stride: Word,
-    },
+    /// The lanes read one progression (as long as the reference is wide).
+    Affine(Seg),
     /// One value per lane.
     Values(&'a [Word]),
 }
@@ -1377,9 +1117,9 @@ impl BulkReplies {
 
     /// The lane values of the bulk read at reference index `ref_idx`.
     pub fn get(&self, ref_idx: usize) -> Option<BulkView<'_>> {
-        let &(_, data) = self.entries.iter().find(|&&(i, _)| i == ref_idx)?;
-        Some(match data {
-            BulkData::Affine { base, stride } => BulkView::Affine { base, stride },
+        let at = self.entries.binary_search_by_key(&ref_idx, |e| e.0).ok()?;
+        Some(match self.entries[at].1 {
+            BulkData::Affine(run) => BulkView::Affine(run),
             BulkData::Values { start, len } => BulkView::Values(&self.words[start..start + len]),
         })
     }
@@ -1387,9 +1127,7 @@ impl BulkReplies {
     /// Lane `k` of the bulk read at `ref_idx` (test/debug convenience).
     pub fn lane(&self, ref_idx: usize, k: usize) -> Option<Word> {
         match self.get(ref_idx)? {
-            BulkView::Affine { base, stride } => {
-                Some(base.wrapping_add((k as Word).wrapping_mul(stride)))
-            }
+            BulkView::Affine(run) => Some(run.at(k)),
             BulkView::Values(vals) => vals.get(k).copied(),
         }
     }
@@ -1398,6 +1136,9 @@ impl BulkReplies {
     /// compressing them to affine form when they form an arithmetic
     /// progression (so an affine value written by a strided sweep reads
     /// back in the same compressed representation it was written from).
+    /// Both resolution paths push while walking the references in order,
+    /// so `entries` stays sorted by `ref_idx` —
+    /// [`get`](BulkReplies::get) searches on that.
     fn push_gathered(&mut self, ref_idx: usize, vals: impl Iterator<Item = Word>) {
         let start = self.words.len();
         self.words.extend(vals);
@@ -1420,19 +1161,17 @@ impl BulkReplies {
         };
         let data = if affine {
             let base = lane.first().copied().unwrap_or(0);
-            let stride = if lane.len() >= 2 {
-                lane[1].wrapping_sub(base)
-            } else {
-                0
-            };
+            let stride = lane.get(1).map_or(0, |second| second.wrapping_sub(base));
+            let run = Seg::new(lane.len(), base, stride);
             self.words.truncate(start);
-            BulkData::Affine { base, stride }
+            BulkData::Affine(run)
         } else {
             BulkData::Values {
                 start,
                 len: self.words.len() - start,
             }
         };
+        debug_assert!(self.entries.last().is_none_or(|e| e.0 < ref_idx));
         self.entries.push((ref_idx, data));
     }
 }
@@ -1900,10 +1639,11 @@ mod tests {
         assert_eq!(replies[0], None); // bulk replies bypass the scalar slot
         assert_eq!(
             bulk.get(0),
-            Some(BulkView::Affine {
+            Some(BulkView::Affine(Seg {
+                len: 16,
                 base: 100,
                 stride: 7
-            }),
+            })),
             "an affine sweep must read back in compressed form"
         );
     }

@@ -125,3 +125,98 @@ fn nine_data_instructions_mean_the_same_under_every_schedule() {
         "MultiInstruction, spawned thread"
     );
 }
+
+/// `min` over two progressions that cross (`tid − 8` against `−tid − 7`:
+/// lanes −8, −8, −9, …) and its `max` mirror, stored to words 100…: the
+/// closed form's first region is one lane wide and the second starts at
+/// the value the first ended on — a single-lane run must not adopt the
+/// next run's stride. The thickness `n` is set the way `variant` sets it.
+/// Returns the program and the index of the `min`/`max`.
+fn crossing(op: AluOp, variant: Variant, n: usize) -> (Program, usize) {
+    // The mirror: `tid + 7` against `8 − tid`, lanes 8, 8, 9, ….
+    let (c1, c2) = if op == AluOp::Min { (-8, -7) } else { (7, 8) };
+    let spawned = matches!(variant, Variant::MultiInstruction);
+    let mut b = ProgramBuilder::new();
+    match variant {
+        // The machine's width is the thickness.
+        Variant::FixedThickness { .. } => {}
+        Variant::MultiInstruction => {
+            b.spawn(n as Word, "task");
+            b.halt();
+            b.label("task");
+        }
+        _ => {
+            b.setthick(n as Word);
+        }
+    }
+    b.mfs(r(1), SpecialReg::Tid);
+    b.alu(AluOp::Add, r(4), r(1), 100);
+    b.alu(AluOp::Sub, r(2), r(0), r(1));
+    b.alu(AluOp::Add, r(1), r(1), c1);
+    b.alu(AluOp::Add, r(2), r(2), c2);
+    let at = b.here();
+    b.alu(op, r(3), r(1), r(2));
+    b.st(r(3), r(4), 0);
+    if spawned {
+        b.sjoin();
+    } else {
+        b.halt();
+    }
+    (b.build().unwrap(), at)
+}
+
+/// Words `100..100 + n` after running `program`; with `materialize_at`,
+/// every register is forced into explicit lanes whenever a flow is about
+/// to execute that instruction.
+fn crossing_words(
+    variant: Variant,
+    program: &Program,
+    n: usize,
+    materialize_at: Option<usize>,
+) -> Vec<Word> {
+    let mut m = TcfMachine::new(MachineConfig::small(), variant, program.clone());
+    for _ in 0..100_000 {
+        if m.live_flows() == 0 {
+            break;
+        }
+        let at_op = |id: &u32| m.flow(*id).is_some_and(|f| Some(f.pc) == materialize_at);
+        if m.flow_ids().iter().any(at_op) {
+            m.materialize_all_registers();
+        }
+        m.step().unwrap_or_else(|e| panic!("{variant:?}: {e}"));
+    }
+    assert_eq!(m.live_flows(), 0, "{variant:?} did not finish");
+    m.peek_range(100, n).unwrap()
+}
+
+#[test]
+fn crossing_min_max_read_the_same_compressed_materialized_and_on_the_host() {
+    for n in [64usize, 4099] {
+        // The two thread variants run unit flows and never reach the
+        // closed form.
+        let variants = [
+            Variant::SingleInstruction,
+            Variant::Balanced { bound: 3 },
+            Variant::Balanced { bound: 64 },
+            Variant::FixedThickness { width: n },
+            Variant::MultiInstruction,
+        ];
+        for op in [AluOp::Min, AluOp::Max] {
+            let host: Vec<Word> = (0..n as Word)
+                .map(|tid| match op {
+                    AluOp::Min => (tid - 8).min(-tid - 7),
+                    _ => (tid + 7).max(8 - tid),
+                })
+                .collect();
+            let sign: Word = if op == AluOp::Min { -1 } else { 1 };
+            assert_eq!(host[..3], [8 * sign, 8 * sign, 9 * sign]);
+            for variant in variants {
+                let (program, at) = crossing(op, variant, n);
+                let compressed = crossing_words(variant, &program, n, None);
+                assert_eq!(compressed, host, "{variant:?} {op:?} n={n}, compressed");
+                let materialized = crossing_words(variant, &program, n, Some(at));
+                assert_eq!(materialized, host, "{variant:?} {op:?} n={n}, materialized");
+            }
+        }
+    }
+}
