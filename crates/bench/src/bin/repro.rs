@@ -13,9 +13,6 @@
 //!                      # (steps/sec + instrs/sec; see docs/PERFORMANCE.md);
 //!                      # --out <file> overrides the destination
 //! repro --paper ...    # use the paper-scale machine (P=16, Tp=64)
-//! repro --engine par:4 # run simulations on the deterministic parallel
-//!                      # engine (seq | par:<workers>); results are
-//!                      # bit-identical to sequential (docs/PARALLEL.md)
 //! repro ... --trace-out trace.json
 //!                      # additionally write a Chrome trace_event file
 //!                      # (open in Perfetto / chrome://tracing)
@@ -70,26 +67,15 @@ fn main() -> ExitCode {
         bench_out = args.remove(i + 1);
         args.remove(i);
     }
-    if let Some(i) = args.iter().position(|a| a == "--engine") {
-        if i + 1 >= args.len() {
-            eprintln!("--engine needs a spec argument (seq | par:<workers>)");
-            return ExitCode::FAILURE;
-        }
-        let spec = args.remove(i + 1);
-        args.remove(i);
-        if tcf_core::Engine::from_spec(&spec).is_none() {
-            eprintln!("bad engine spec `{spec}` (expected seq | par:<workers>)");
-            return ExitCode::FAILURE;
-        }
-        // Every machine the experiments construct picks the engine up
-        // from the environment at build time.
-        env::set_var("TCF_ENGINE", &spec);
-    }
     let config = if paper {
         tcf_bench::paper_config()
     } else {
         tcf_bench::small_config()
     };
+    if let Some(extra) = args.get(1) {
+        eprintln!("unexpected argument `{extra}`");
+        return ExitCode::FAILURE;
+    }
     let what = args.first().map(String::as_str).unwrap_or("all");
 
     // `metrics` is machine-readable: keep stdout pure JSON so the output

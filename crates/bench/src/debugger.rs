@@ -292,8 +292,8 @@ impl Debugger {
         );
     }
 
-    /// `top`-style live counters view: per-worker lane shares with ASCII
-    /// utilization bars, compression/decay taxonomy, coalescing and
+    /// `top`-style live counters view: slices by rung and how many the
+    /// engine sharded, compression/decay taxonomy, coalescing and
     /// bulk-resolution hit rates, and the streaming sink's drop counts —
     /// everything the live telemetry pipeline exports, at a glance.
     fn show_top(&self, out: &mut String) {
@@ -303,21 +303,13 @@ impl Debugger {
             "engine: {} thick instrs, {} slices ({} compressed, {} per-lane)",
             ec.thick_instrs, ec.slices, ec.compressed_slices, ec.per_lane_slices
         );
-        let total = ec.total_lanes();
-        for (w, ppm) in ec.worker_utilization_ppm().iter().enumerate() {
-            let pct = *ppm as f64 / 10_000.0;
-            let bar_len = (pct / 5.0).round() as usize;
-            let _ = writeln!(
-                out,
-                "worker {w}: [{:<20}] {pct:>5.1}%  {} lanes, {} slices",
-                "#".repeat(bar_len.min(20)),
-                ec.worker_lanes[w],
-                ec.worker_slices[w],
-            );
-        }
-        if total == 0 {
-            let _ = writeln!(out, "workers: no thick lanes executed yet");
-        }
+        let _ = writeln!(
+            out,
+            "sharded: {} slices, {} memory buckets ({:?})",
+            ec.sharded_slices,
+            ec.sharded_buckets,
+            self.machine.engine()
+        );
         let td = self.machine.thick_decay();
         let _ = writeln!(
             out,
@@ -510,7 +502,10 @@ mod tests {
         let out = d.run_script("run\ntop\n");
         assert!(out.contains("engine:"), "{out}");
         assert!(out.contains("thick instrs"), "{out}");
-        assert!(out.contains("worker 0: ["), "{out}");
+        assert!(
+            out.contains("sharded: 0 slices, 0 memory buckets (Sequential)"),
+            "{out}"
+        );
         assert!(out.contains("decay:"), "{out}");
         assert!(out.contains("mask_runs"), "{out}");
         assert!(out.contains("balanced_resume"), "{out}");

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-bench — experiment harness reproducing every table and figure
 //!
 //! The paper's evaluation is qualitative: one property/cost table

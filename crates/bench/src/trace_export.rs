@@ -16,10 +16,10 @@ use tcf_core::{TcfMachine, Variant};
 use tcf_isa::word::Word;
 use tcf_lang::compile;
 use tcf_machine::MachineConfig;
-use tcf_obs::chrome::chrome_trace_with_workers;
+use tcf_obs::chrome::chrome_trace_with_drops;
 use tcf_obs::json::metrics_json;
 use tcf_obs::stream::{drain_ndjson, header_line, DRAIN_INTERVAL_STEPS};
-use tcf_obs::{MetricValue, StreamCursor};
+use tcf_obs::StreamCursor;
 
 use crate::workloads::{A_BASE, B_BASE, C_BASE};
 
@@ -64,17 +64,15 @@ pub fn demo_machine(config: &MachineConfig) -> TcfMachine {
 }
 
 /// Runs the demo and returns the Chrome `trace_event` JSON document,
-/// including ring-truncation notices and the per-worker utilization
-/// track.
+/// including ring-truncation notices.
 pub fn chrome_trace_demo(config: &MachineConfig) -> String {
     let mut m = demo_machine(config);
     m.run(1_000_000).expect("demo runs to completion");
-    chrome_trace_with_workers(
+    chrome_trace_with_drops(
         &m.trace().events(),
         &m.obs().events(),
         m.trace().dropped(),
         m.obs().dropped(),
-        &m.engine_counters().worker_lanes,
     )
 }
 
@@ -113,14 +111,6 @@ pub fn metrics_demo(config: &MachineConfig) -> String {
     let mut m = demo_machine(config);
     m.run(1_000_000).expect("demo runs to completion");
     let mut reg = m.metrics();
-    // Graft the engine-dependent per-worker series on: `metrics()` keeps
-    // them out so its output stays engine-independent, but the CLI dump
-    // explicitly reports the engine that ran.
-    for (name, v) in m.engine_metrics().iter() {
-        if let MetricValue::Counter(c) = v {
-            reg.set_counter(name, *c);
-        }
-    }
     let replayed = tcf_obs::MetricsRegistry::replay(&m.trace().events(), &m.obs().events());
     reg.snapshots_mut()
         .extend(replayed.snapshots().iter().cloned());
@@ -191,8 +181,6 @@ mod tests {
             "thick.decay_async_slice",
             "engine.compressed_slices",
             "engine.coalesce_hits",
-            "engine.worker0.lanes",
-            "engine.worker0.utilization_ppm",
             "mem.bulk_fast",
             "net.route_sends",
             "obs.trace_dropped",

@@ -11,15 +11,14 @@
 //! * [`EngineCounters`] — what the thick-execution engine did: how many
 //!   slices ran closed-form vs per-lane, how often rank-adjacent bulk
 //!   references coalesced, how many observability events the merge
-//!   absorbed, and how lanes were distributed over workers.
+//!   absorbed, and how much work the parallel engine sharded.
 //!
 //! Both structs are plain saturating-free `u64` adders updated on paths
 //! that already branch (a decay, a slice merge), so the recording cost
 //! is a handful of increments per *instruction*, not per lane — they
 //! stay within the observability overhead budget and are
 //! engine-independent (identical under `seq` and `par:N`), except for
-//! the per-worker series which is virtual (rank-derived) and therefore
-//! also engine-independent.
+//! the two `sharded_*` counts, which say what the engine chosen did.
 
 /// Why compressed (`Affine`/`Segments`) thick registers decayed to
 /// explicit per-thread lanes. One counter per reason in the taxonomy.
@@ -103,42 +102,17 @@ pub struct EngineCounters {
     /// Observability events absorbed from fragment outputs into the main
     /// sink during the merge.
     pub absorbed_events: u64,
-    /// Lanes assigned per engine worker (virtual round-robin rank: slice
-    /// `i` of a batch belongs to worker `i mod workers`), so the series
-    /// is identical whichever engine actually ran. Length = worker count
-    /// (1 for the sequential engine).
-    pub worker_lanes: Vec<u64>,
-    /// Slices assigned per engine worker (same virtual ranking).
-    pub worker_slices: Vec<u64>,
-}
-
-impl EngineCounters {
-    /// Total lanes executed across all workers.
-    pub fn total_lanes(&self) -> u64 {
-        self.worker_lanes.iter().sum()
-    }
-
-    /// Ensures the per-worker series cover `workers` entries.
-    pub fn ensure_workers(&mut self, workers: usize) {
-        if self.worker_lanes.len() < workers {
-            self.worker_lanes.resize(workers, 0);
-            self.worker_slices.resize(workers, 0);
-        }
-    }
-
-    /// Per-worker busy share (lanes on the worker / total lanes), in
-    /// parts-per-thousand for allocation-free integer export. Empty when
-    /// nothing ran.
-    pub fn worker_utilization_ppm(&self) -> Vec<u64> {
-        let total = self.total_lanes();
-        if total == 0 {
-            return Vec::new();
-        }
-        self.worker_lanes
-            .iter()
-            .map(|&l| l * 1_000_000 / total)
-            .collect()
-    }
+    /// Per-lane slices that ran inside a sharded region: a memory
+    /// instruction under [`Engine::Parallel`](crate::Engine::Parallel)
+    /// whose closed-form attempts left at least `LANE_GRAIN` lanes to the
+    /// lane loop. With two or more workers all but the first chunk of them
+    /// ran off the coordinating thread. Zero under the sequential engine;
+    /// a function of the program and the engine, not of host scheduling.
+    /// Kept out of `metrics()`.
+    pub sharded_slices: u64,
+    /// Memory-module buckets resolved inside a sharded region (a scalar
+    /// memory step of at least `REF_GRAIN` references); as above.
+    pub sharded_buckets: u64,
 }
 
 #[cfg(test)]
@@ -157,27 +131,5 @@ mod tests {
             async_slice: 17,
         };
         assert_eq!(c.total(), 58);
-    }
-
-    #[test]
-    fn worker_utilization_is_lane_share() {
-        let mut e = EngineCounters::default();
-        e.ensure_workers(2);
-        e.worker_lanes[0] = 3;
-        e.worker_lanes[1] = 1;
-        assert_eq!(e.total_lanes(), 4);
-        assert_eq!(e.worker_utilization_ppm(), vec![750_000, 250_000]);
-        assert!(EngineCounters::default()
-            .worker_utilization_ppm()
-            .is_empty());
-    }
-
-    #[test]
-    fn ensure_workers_never_shrinks() {
-        let mut e = EngineCounters::default();
-        e.ensure_workers(4);
-        e.ensure_workers(2);
-        assert_eq!(e.worker_lanes.len(), 4);
-        assert_eq!(e.worker_slices.len(), 4);
     }
 }

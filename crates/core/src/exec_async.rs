@@ -43,7 +43,7 @@ use crate::flow::{Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::TcfMachine;
 use crate::semantics::{flowwise, Control, DirectPort};
 use crate::thick::ThickValue;
-use crate::thick_exec::{exec_thick_lanes, FragOut, ThickCtx};
+use crate::thick_exec::{exec_thick_lanes, FragOut, Rungs, ThickCtx};
 
 /// Pooled per-quantum buffers of [`TcfMachine::step_async`], kept on the
 /// machine so steady-state quanta allocate nothing — the same discipline
@@ -480,7 +480,7 @@ impl TcfMachine {
             shared: &mut self.shared,
             local: &mut self.locals[g],
         };
-        exec_thick_lanes(&ctx, &mut port, out);
+        exec_thick_lanes(&ctx, &mut port, out, Rungs::All);
         let fault = out.fault.take();
         if fault.is_none() {
             self.tally_slice(out);

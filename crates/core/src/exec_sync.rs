@@ -124,7 +124,7 @@ impl TcfMachine {
         }
 
         // Phase 2: one PRAM memory step for all flows' references
-        // (sharded per memory module under the parallel engine). Replies
+        // (sharded per memory module above the parallel engine's grain). Replies
         // land in the machine-owned `mem_replies` buffer.
         let mstats = self.memory_step(&mem.refs)?;
         self.mem_stats.absorb(&mstats);
@@ -258,9 +258,10 @@ impl TcfMachine {
                 slices.push((frag, cursor..cursor + n));
                 cursor += n;
             }
-            // Lanes execute per slice (inline, or on the worker pool under
-            // the parallel engine — the fragments' groups are distinct, so
-            // the slices are independent) and merge in fragment order.
+            // Lanes execute per slice (inline, or above the grain under the
+            // parallel engine on scoped threads — the fragments' groups are
+            // distinct, so the slices are independent) and merge in
+            // fragment order.
             let mut outs = std::mem::take(&mut self.frag_pool);
             self.exec_slices(flow, instr, &slices, &mut outs);
             let n = slices.len();

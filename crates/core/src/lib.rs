@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::too_many_lines)]
 //! # tcf-core — the extended PRAM-NUMA model of computation
 //!

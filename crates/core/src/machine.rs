@@ -31,12 +31,12 @@ use tcf_isa::program::Program;
 use tcf_isa::reg::SpecialReg;
 use tcf_isa::word::Word;
 use tcf_machine::{
-    FlowDesc, GroupPipeline, MachineConfig, MachineStats, TcfBuffer, Trace, UnitSeq,
+    summary_metrics, FlowDesc, GroupPipeline, MachineConfig, MachineStats, RunSummary, TcfBuffer,
+    Trace, UnitSeq,
 };
 use tcf_mem::{BulkReplies, LocalMemory, SharedMemory, StepScratch, StepStats};
 use tcf_net::{NetStats, Network};
 use tcf_obs::{FlowEvent, MetricsRegistry, ObsSink};
-use tcf_pram::RunSummary;
 
 use crate::counters::{EngineCounters, ThickDecayCounters};
 use crate::decoded::DecodedProgram;
@@ -44,7 +44,7 @@ use crate::error::{TcfError, TcfFault};
 use crate::exec_async::AsyncBufs;
 use crate::exec_sync::StepBufs;
 use crate::flow::{ExecMode, Flow, FlowStatus, FlowTable, Fragment};
-use crate::par_engine::{global_pool, Engine, WorkerPool};
+use crate::par_engine::Engine;
 use crate::sched::Allocation;
 use crate::thick_exec::FragOut;
 use crate::variant::Variant;
@@ -83,12 +83,11 @@ pub struct TcfMachine {
     pub(crate) mem_stats: StepStats,
     /// Why compressed thick registers decayed (reason taxonomy).
     pub(crate) thick_decay: ThickDecayCounters,
-    /// Thick-execution engine counters (slices, coalescing, workers).
+    /// Thick-execution engine counters (slices, coalescing, sharding).
     pub(crate) engine_counters: EngineCounters,
     pub(crate) clock: u64,
     pub(crate) steps: u64,
     pub(crate) engine: Engine,
-    pub(crate) pool: Option<Arc<WorkerPool>>,
     /// Persistent scratch of the sequential shared-memory step.
     pub(crate) mem_scratch: StepScratch,
     /// Per-module scratch for concurrent shard resolution (one per
@@ -184,7 +183,6 @@ impl TcfMachine {
             clock: 0,
             steps: 0,
             engine: Engine::Sequential,
-            pool: None,
             mem_scratch: StepScratch::default(),
             shard_scratch: vec![StepScratch::default(); config.groups],
             mem_buckets: Vec::new(),
@@ -196,20 +194,15 @@ impl TcfMachine {
             slice_buf: Vec::new(),
             config,
         };
-        m.set_engine(Engine::from_env());
         m.create_initial_flows();
         m
     }
 
-    /// Selects the execution engine (default: `TCF_ENGINE`, else
-    /// sequential). The parallel engine is deterministic — it produces
-    /// bit-identical results, statistics and event streams to the
-    /// sequential engine at any worker count; see `docs/PARALLEL.md`.
+    /// Selects the execution engine (default: sequential). The parallel
+    /// engine is deterministic — it produces bit-identical results,
+    /// statistics and event streams to the sequential engine at any
+    /// worker count; see `docs/PARALLEL.md`.
     pub fn set_engine(&mut self, engine: Engine) {
-        self.pool = match engine {
-            Engine::Parallel { workers } => Some(global_pool(workers)),
-            Engine::Sequential => None,
-        };
         self.engine = engine;
     }
 
@@ -441,8 +434,7 @@ impl TcfMachine {
         self.shared.bulk_stats()
     }
 
-    /// Thick-execution engine counters (slices, coalescing, per-worker
-    /// lane distribution).
+    /// Thick-execution engine counters (slices, coalescing, sharded work).
     pub fn engine_counters(&self) -> &EngineCounters {
         &self.engine_counters
     }
@@ -451,7 +443,7 @@ impl TcfMachine {
     /// (machine, memory, network and TCF-buffer metrics plus the latency
     /// histograms). See `docs/OBSERVABILITY.md` for the naming scheme.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = tcf_pram::summary_metrics(&self.stats, &self.mem_stats, self.net.stats());
+        let mut reg = summary_metrics(&self.stats, &self.mem_stats, self.net.stats());
         let mut switches = 0u64;
         let mut misses = 0u64;
         let mut overhead = 0u64;
@@ -493,32 +485,6 @@ impl TcfMachine {
         reg.set_counter("mem.bulk_expanded_lanes", bulk.expanded_lanes);
         reg.set_counter("obs.trace_dropped", self.trace.dropped());
         reg.set_counter("obs.events_dropped", self.obs.dropped());
-        reg
-    }
-
-    /// Engine-*dependent* measurements kept out of [`metrics`]: the
-    /// per-worker lane/slice distribution and utilization. The artifact
-    /// determinism guarantee (bit-identical `metrics()` under `seq` and
-    /// `par:N`) cannot cover series whose length is the worker count, so
-    /// these live in their own registry, merged only where the caller
-    /// explicitly wants the engine view (`repro metrics`, the Chrome
-    /// worker track).
-    ///
-    /// [`metrics`]: TcfMachine::metrics
-    pub fn engine_metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let e = &self.engine_counters;
-        reg.set_counter("engine.workers", e.worker_lanes.len() as u64);
-        reg.set_counter("engine.total_lanes", e.total_lanes());
-        let util = e.worker_utilization_ppm();
-        for (w, (&lanes, &slices)) in e.worker_lanes.iter().zip(&e.worker_slices).enumerate() {
-            reg.set_counter(&format!("engine.worker{w}.lanes"), lanes);
-            reg.set_counter(&format!("engine.worker{w}.slices"), slices);
-            reg.set_counter(
-                &format!("engine.worker{w}.utilization_ppm"),
-                util.get(w).copied().unwrap_or(0),
-            );
-        }
         reg
     }
 

@@ -510,16 +510,6 @@ impl LaneMask {
     pub fn runs(&self) -> &[MaskRun] {
         &self.runs
     }
-
-    /// Whether every lane is selected.
-    pub fn all_set(&self) -> bool {
-        self.runs.iter().all(|r| r.set)
-    }
-
-    /// Whether every lane is masked out.
-    pub fn all_clear(&self) -> bool {
-        self.runs.iter().all(|r| !r.set)
-    }
 }
 
 /// The result of a closed-form ALU evaluation over a run of lanes: at

@@ -8,10 +8,10 @@
 //!   bit-identical to the one below it. What a slice produces lands in a
 //!   pooled [`FragOut`];
 //! * the coordinator — [`TcfMachine::exec_slices`] runs the slices of an
-//!   instruction (inline, or on the worker pool of [`crate::par_engine`]),
-//!   [`TcfMachine::merge_frag_outs`] replays their outputs in fragment
-//!   order, and [`TcfMachine::memory_step`] resolves the step's collected
-//!   references.
+//!   instruction (inline, or above the grain of [`crate::par_engine`] on
+//!   scoped threads), [`TcfMachine::merge_frag_outs`] replays their
+//!   outputs in fragment order, and [`TcfMachine::memory_step`] resolves
+//!   the step's collected references.
 //!
 //! Both engines run this same code — the sequential one simply runs the
 //! fragments inline — so the differential conformance suite
@@ -19,7 +19,6 @@
 //! divergent interpreters.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use tcf_isa::instr::{MemSpace, MultiKind, Operand};
 use tcf_isa::op::AluOp;
@@ -35,7 +34,7 @@ use crate::error::TcfError;
 use crate::flow::{Flow, Fragment};
 use crate::lanes::{self, LanePlanes};
 use crate::machine::{special_stride, special_value, TcfMachine};
-use crate::par_engine::Engine;
+use crate::par_engine::{for_each_chunked, Engine, LANE_GRAIN, REF_GRAIN};
 use crate::semantics::{lane, MemPort, StepPort, StepSink, WbTarget, Writeback};
 use crate::thick::{affine_alu, LaneMask, MaskError, Seg, ThickRegs, MASK_RUN_BUDGET};
 
@@ -712,25 +711,43 @@ fn exec_thick_compressed(
     closed.is_ok()
 }
 
+/// Which rungs of the thick ladder a call runs: all of them, or one side
+/// of the split the parallel engine makes — the closed-form attempt is
+/// O(runs) whatever the thickness and stays on the coordinator, the
+/// per-lane rungs are what a sharded region runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rungs {
+    All,
+    Closed,
+    PerLane,
+}
+
 /// Executes `out.range`'s lanes of `ctx.instr` against a read-only
 /// register view, logging register writes into `out` and sending memory
 /// traffic through `port`. Stops at the first fault.
 ///
 /// Every engine and variant runs thick lanes through here — a ladder of
 /// three rungs, each bit-identical to the one below it: the closed-form
-/// evaluator ([`exec_thick_compressed`]), the structure-of-arrays kernels
-/// for what is left of pure compute ([`exec_thick_vector`]), and the
-/// scalar [`lane`] loop. Because a slice's bounds derive only from the
-/// fragments and the variant's window, both engines make the same rung
-/// decision for every slice.
-pub(crate) fn exec_thick_lanes<P: MemPort>(ctx: &ThickCtx<'_>, port: &mut P, out: &mut FragOut) {
+/// evaluator ([`exec_thick_compressed`], which sets `out.compressed` when
+/// it served the slice), the structure-of-arrays kernels for what is left
+/// of pure compute ([`exec_thick_vector`]), and the scalar [`lane`] loop.
+/// Because a slice's bounds derive only from the fragments and the
+/// variant's window, both engines make the same rung decision for every
+/// slice.
+pub(crate) fn exec_thick_lanes<P: MemPort>(
+    ctx: &ThickCtx<'_>,
+    port: &mut P,
+    out: &mut FragOut,
+    rungs: Rungs,
+) {
     // The scratch is swapped out of `out` so the rungs can borrow the
     // fragment output mutably while reusing the pooled mask/run buffers.
     let mut scratch = std::mem::take(&mut out.scratch);
-    let done = exec_thick_compressed(ctx, port.bulk(), out, &mut scratch)
-        || exec_thick_vector(ctx, out, &mut scratch);
+    let done = (rungs != Rungs::PerLane
+        && exec_thick_compressed(ctx, port.bulk(), out, &mut scratch))
+        || (rungs != Rungs::Closed && exec_thick_vector(ctx, out, &mut scratch));
     out.scratch = scratch;
-    if done {
+    if done || rungs == Rungs::Closed {
         return;
     }
     for e in out.range.clone() {
@@ -762,6 +779,7 @@ fn exec_thick_step(
     shared: &SharedMemory,
     local: &mut LocalMemory,
     out: &mut FragOut,
+    rungs: Rungs,
 ) {
     let mut sink = std::mem::take(&mut out.mem);
     let mut port = StepPort {
@@ -773,7 +791,7 @@ fn exec_thick_step(
         rank_base: ctx.flow.rank_base,
         flowwise: false,
     };
-    exec_thick_lanes(ctx, &mut port, out);
+    exec_thick_lanes(ctx, &mut port, out, rungs);
     out.mem = sink;
 }
 
@@ -941,11 +959,13 @@ fn coalesce_bulk_multi(refs: &mut [MemRef], wbs: &mut [Writeback], out: &StepSin
 // ---------------------------------------------------------------------------
 
 impl TcfMachine {
-    /// Executes the rank-contiguous `slices` of one thick instruction —
-    /// inline for the sequential engine, fanned out over the worker pool
-    /// for the parallel engine — and returns the fragment outputs in
-    /// fragment order. Workers see a read-only flow and shared memory plus
-    /// exclusive access to their fragment group's local memory.
+    /// Executes the rank-contiguous `slices` of one thick instruction and
+    /// returns the fragment outputs in fragment order. Under the parallel
+    /// engine the closed-form attempts of a memory instruction run first,
+    /// and if the slices they declined hold [`LANE_GRAIN`] lanes between
+    /// them, those slices' lane loops run on scoped threads: each sees a
+    /// read-only flow and shared memory plus exclusive access to its
+    /// fragment group's local memory.
     pub(crate) fn exec_slices(
         &mut self,
         flow: &Flow,
@@ -955,10 +975,6 @@ impl TcfMachine {
     ) {
         let obs_on = self.obs.is_enabled();
         let step = self.steps;
-        let pool = match (&self.engine, &self.pool) {
-            (Engine::Parallel { .. }, Some(pool)) if slices.len() > 1 => Some(Arc::clone(pool)),
-            _ => None,
-        };
         while outs.len() < slices.len() {
             outs.push(FragOut::empty());
         }
@@ -969,7 +985,7 @@ impl TcfMachine {
         let shared = &self.shared;
         let config = &self.config;
         let locals = &mut self.locals;
-        let step_slice = |out: &mut FragOut, local: &mut LocalMemory| {
+        let step_slice = |out: &mut FragOut, local: &mut LocalMemory, rungs: Rungs| {
             let ctx = ThickCtx {
                 flow,
                 instr,
@@ -977,34 +993,53 @@ impl TcfMachine {
                 config,
                 step,
             };
-            exec_thick_step(&ctx, shared, local, out)
+            exec_thick_step(&ctx, shared, local, out, rungs)
         };
-        match pool {
-            None => {
-                for out in outs.iter_mut() {
-                    let g = out.frag.group;
-                    step_slice(out, &mut locals[g]);
+        let mut run = |outs: &mut [FragOut], rungs: Rungs| {
+            for out in outs.iter_mut().filter(|o| !o.compressed) {
+                step_slice(out, &mut locals[out.frag.group], rungs);
+            }
+        };
+        match self.engine {
+            // `Alu` and `Sel` end on the vector rung at the latest — 2 ns a
+            // lane, each lane replayed by the coordinator afterwards — so
+            // only the scalar loop of a memory instruction is worth a region.
+            Engine::Parallel { workers }
+                if outs.len() > 1
+                    && !matches!(instr, DecodedInst::Alu { .. } | DecodedInst::Sel { .. }) =>
+            {
+                run(outs, Rungs::Closed);
+                let pending = outs.iter().filter(|o| !o.compressed);
+                if pending.map(|o| o.range.len()).sum::<usize>() < LANE_GRAIN {
+                    run(outs, Rungs::PerLane);
+                } else {
+                    // Fragments of one flow occupy distinct groups (the
+                    // scheduler guarantees it), so this takes each local
+                    // memory at most once.
+                    let mut lm: Vec<_> = locals.iter_mut().map(Some).collect();
+                    let mut work: Vec<_> = outs
+                        .iter_mut()
+                        .filter(|o| !o.compressed)
+                        .map(|out| {
+                            let local = lm[out.frag.group].take();
+                            (
+                                out,
+                                local.expect("fragments of one flow have distinct groups"),
+                            )
+                        })
+                        .collect();
+                    for_each_chunked(workers, &mut work, |(out, local)| {
+                        step_slice(out, local, Rungs::PerLane)
+                    });
+                    self.engine_counters.sharded_slices += work.len() as u64;
                 }
             }
-            Some(pool) => pool.run_slices(outs, locals, step_slice),
+            _ => run(outs, Rungs::All),
         }
-        // Engine counters, at slice granularity. The worker assignment is
-        // *virtual* (slice `i` → worker `i mod workers`), matching how the
-        // pool hands out tasks, so the lane distribution is a property of
-        // the slicing, not of runtime scheduling — deterministic across
-        // runs and engines of the same worker count.
-        let workers = match self.engine {
-            Engine::Parallel { workers } => workers.max(1),
-            Engine::Sequential => 1,
-        };
         self.engine_counters.thick_instrs += 1;
         self.engine_counters.slices += outs.len() as u64;
-        self.engine_counters.ensure_workers(workers);
-        for (i, out) in outs.iter().enumerate() {
+        for out in outs.iter() {
             self.tally_slice(out);
-            let w = i % workers;
-            self.engine_counters.worker_lanes[w] += out.range.len() as u64;
-            self.engine_counters.worker_slices[w] += 1;
         }
     }
 
@@ -1120,9 +1155,10 @@ impl TcfMachine {
     }
 
     /// Phase 2: one PRAM memory step for all collected references —
-    /// sequential, or sharded per module under the parallel engine. Both
-    /// paths return identical replies and statistics (the shards resolve
-    /// through the same per-address logic and merge in module order).
+    /// sequential, or above [`REF_GRAIN`] under the parallel engine sharded
+    /// per module. Both paths return identical replies and statistics (the
+    /// shards resolve through the same per-address logic and merge in
+    /// module order).
     pub(crate) fn memory_step(&mut self, refs: &[MemRef]) -> Result<StepStats, TcfError> {
         if refs.iter().any(|r| r.op.is_bulk()) {
             // Strided bulk references resolve on the coordinator under
@@ -1143,20 +1179,17 @@ impl TcfMachine {
             return r;
         }
         self.mem_bulk.clear();
-        let pool = match (&self.engine, &self.pool) {
-            (Engine::Parallel { .. }, Some(pool))
-                if refs.len() > 1 && self.shared.modules() > 1 =>
+        match self.engine {
+            Engine::Parallel { workers }
+                if refs.len() >= REF_GRAIN && self.shared.modules() > 1 =>
             {
-                Arc::clone(pool)
+                self.memory_step_sharded(workers, refs)
             }
-            _ => {
-                return self
-                    .shared
-                    .step_into(refs, &mut self.mem_scratch, &mut self.mem_replies)
-                    .map_err(|e| self.host_err(e.into()));
-            }
-        };
-        self.memory_step_sharded(&pool, refs)
+            _ => self
+                .shared
+                .step_into(refs, &mut self.mem_scratch, &mut self.mem_replies)
+                .map_err(|e| self.host_err(e.into())),
+        }
     }
 }
 

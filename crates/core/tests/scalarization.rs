@@ -583,8 +583,7 @@ fn masked_program(op: AluOp, t: usize, cut: Word, sel_imm: Word) -> Program {
 
 /// [`check_step`] with an explicit engine on both machines, so the masked
 /// compressed path is compared against the per-lane reference under both
-/// the sequential and the deterministic parallel engine regardless of the
-/// ambient `TCF_ENGINE`.
+/// the sequential and the deterministic parallel engine.
 fn check_step_with(program: &Program, k: u64, engine: Engine) -> Result<(), String> {
     let mut fast = machine(program.clone());
     fast.set_engine(engine);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-isa — instruction set of the extended PRAM-NUMA / TCF machine family
 //!
 //! This crate defines the word-oriented RISC-style instruction set shared by

@@ -42,18 +42,15 @@ pub fn shamt(b: Word) -> u32 {
     (b as u64 & 63) as u32
 }
 
-/// Convert a word to an address, clamping negatives to 0.
+/// Convert a word to an address; a negative word becomes [`Addr::MAX`].
 ///
-/// Negative addresses can only arise from buggy guest programs; clamping
-/// keeps the simulator deterministic while the out-of-range check in the
-/// memory system reports the fault.
+/// Negative addresses can only arise from buggy guest programs. No address
+/// space holds `Addr::MAX`, so the out-of-range check in the memory system
+/// reports the fault — the same sentinel a strided lane below 0 gets from
+/// `AddrRun::saturating_at` — instead of the access aliasing word 0.
 #[inline]
 pub fn to_addr(w: Word) -> Addr {
-    if w < 0 {
-        0
-    } else {
-        w as Addr
-    }
+    Addr::try_from(w).unwrap_or(Addr::MAX)
 }
 
 #[cfg(test)]
@@ -81,7 +78,9 @@ mod tests {
 
     #[test]
     fn to_addr_clamps_negative() {
-        assert_eq!(to_addr(-5), 0);
+        assert_eq!(to_addr(-5), Addr::MAX);
+        assert_eq!(to_addr(Word::MIN), Addr::MAX);
+        assert_eq!(to_addr(0), 0);
         assert_eq!(to_addr(7), 7);
     }
 }

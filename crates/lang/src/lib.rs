@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-lang — the *tce* language for Thick Control Flow programming
 //!
 //! A small c-like language realizing the programming style of the paper's

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-machine — cycle-level CESM machine model
 //!
 //! The Configurable Emulated Shared Memory machine (CESM) underlying the
@@ -32,11 +33,13 @@
 pub mod config;
 pub mod pipeline;
 pub mod stats;
+pub mod summary;
 pub mod tcf_buffer;
 pub mod trace;
 
 pub use config::MachineConfig;
 pub use pipeline::{GroupPipeline, IssueUnit, StepOutcome, UnitSeq};
 pub use stats::MachineStats;
+pub use summary::{summary_metrics, RunSummary};
 pub use tcf_buffer::{FlowDesc, FlowMode, TcfBuffer};
 pub use trace::{FlowTag, Trace, TraceEvent, UnitKind};

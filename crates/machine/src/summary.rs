@@ -2,10 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use tcf_machine::MachineStats;
 use tcf_mem::StepStats;
 use tcf_net::NetStats;
 use tcf_obs::MetricsRegistry;
+
+use crate::stats::MachineStats;
 
 /// Outcome of running a program to completion.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-mem — the memory system of the (extended) PRAM-NUMA machine
 //!
 //! The PRAM-NUMA model (Forsell & Leppänen) gives every processor group two

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-net — the distance-aware interconnection network
 //!
 //! Both the PRAM-NUMA model and its TCF extension place the processor

@@ -264,12 +264,6 @@ impl Network {
         usize::from(self.first_hop[to * self.nodes + from].dist)
     }
 
-    /// Minimum (contention-free) one-way latency between two nodes.
-    #[inline]
-    pub fn base_latency(&self, from: usize, to: usize) -> u64 {
-        self.distance(from, to) as u64 * self.hop_latency
-    }
-
     /// Routes one message injected at cycle `now`; returns its delivery
     /// cycle. Same-node messages are delivered immediately (the memory
     /// module is co-located with the processor group).

@@ -201,21 +201,6 @@ pub fn chrome_trace_with_drops(
     trace_dropped: u64,
     events_dropped: u64,
 ) -> String {
-    chrome_trace_with_workers(trace, events, trace_dropped, events_dropped, &[])
-}
-
-/// [`chrome_trace_with_drops`] plus a **pid 2 — "workers"** process: one
-/// track per engine worker carrying a single `busy` span whose length is
-/// the lanes the worker executed, with the lane share in the track name —
-/// the per-worker utilization view. With `worker_lanes` empty the output
-/// is byte-identical to [`chrome_trace_with_drops`].
-pub fn chrome_trace_with_workers(
-    trace: &[TraceEvent],
-    events: &[TimedEvent],
-    trace_dropped: u64,
-    events_dropped: u64,
-    worker_lanes: &[u64],
-) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
 
@@ -366,41 +351,6 @@ pub fn chrome_trace_with_workers(
         push_span(&mut out, &mut first, s);
     }
 
-    // --- pid 2: per-worker utilization tracks -------------------------
-    if !worker_lanes.is_empty() {
-        let total: u64 = worker_lanes.iter().sum();
-        push_meta(&mut out, &mut first, 2, None, "process_name", "workers");
-        for (w, &lanes) in worker_lanes.iter().enumerate() {
-            let share = if total == 0 {
-                0.0
-            } else {
-                lanes as f64 * 100.0 / total as f64
-            };
-            push_meta(
-                &mut out,
-                &mut first,
-                2,
-                Some(w as u64),
-                "thread_name",
-                &format!("worker {w} ({share:.1}% of lanes)"),
-            );
-            if lanes > 0 {
-                push_span(
-                    &mut out,
-                    &mut first,
-                    &Span {
-                        pid: 2,
-                        tid: w as u64,
-                        ts: 0,
-                        dur: lanes,
-                        name: "busy",
-                        args: vec![("lanes", lanes.to_string())],
-                    },
-                );
-            }
-        }
-    }
-
     out.push_str("]}");
     out
 }
@@ -498,21 +448,6 @@ mod tests {
         // Zero drops emit nothing extra — byte-identical to chrome_trace.
         assert_eq!(
             chrome_trace_with_drops(&[], &[], 0, 0),
-            chrome_trace(&[], &[])
-        );
-    }
-
-    #[test]
-    fn worker_track_reports_lane_shares() {
-        let json = chrome_trace_with_workers(&[], &[], 0, 0, &[30, 10, 0]);
-        validate_json(&json).expect("valid JSON");
-        assert!(json.contains("\"name\":\"workers\""));
-        assert!(json.contains("worker 0 (75.0% of lanes)"));
-        assert!(json.contains("worker 2 (0.0% of lanes)"));
-        assert!(json.contains("\"pid\":2,\"tid\":0,\"ts\":0,\"dur\":30,\"name\":\"busy\""));
-        // No workers: byte-identical to the plain exporter.
-        assert_eq!(
-            chrome_trace_with_workers(&[], &[], 0, 0, &[]),
             chrome_trace(&[], &[])
         );
     }

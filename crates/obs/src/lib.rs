@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-obs — unified observability layer
 //!
 //! The simulator stack's measurement substrate, kept *below* the machine

@@ -320,14 +320,6 @@ pub fn write_drop_line(out: &mut String, stream: &str, missed: u64) {
     l.flush(out);
 }
 
-/// Encodes a truncation notice: `missed` events of `stream`
-/// (`"trace"`/`"flow"`) were evicted before the subscriber drained them.
-pub fn drop_line(stream: &str, missed: u64) -> String {
-    let mut out = String::new();
-    write_drop_line(&mut out, stream, missed);
-    out
-}
-
 /// Appends everything new in both buffers since `cursor` to `out` as
 /// NDJSON lines (trace events first, then flow events, each stream in
 /// order), advancing the cursor. Evictions the subscriber missed surface

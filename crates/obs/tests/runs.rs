@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use tcf_obs::chrome::chrome_trace_with_workers;
+use tcf_obs::chrome::chrome_trace_with_drops;
 use tcf_obs::gantt;
 use tcf_obs::stream::{
     drain_ndjson, header_line, parse_stream, write_drop_line, write_flow_line, write_trace_line,
@@ -491,12 +491,12 @@ proptest! {
         // Chrome: the group tracks against the oracle, and the rest of
         // the document unmoved by how the trace is cut into runs.
         prop_assert_eq!(
-            chrome_trace_with_workers(&runs, &[], dropped, 0, &[]),
+            chrome_trace_with_drops(&runs, &[], dropped, 0),
             oracle_chrome(&units, dropped)
         );
         prop_assert_eq!(
-            chrome_trace_with_workers(&runs, &events, dropped, 3, &[5, 0, 2]),
-            chrome_trace_with_workers(&units, &events, dropped, 3, &[5, 0, 2])
+            chrome_trace_with_drops(&runs, &events, dropped, 3),
+            chrome_trace_with_drops(&units, &events, dropped, 3)
         );
         // Replay: counters and every snapshot.
         prop_assert_eq!(

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf-pram — the original PRAM-NUMA model of computation (baseline)
 //!
 //! This crate implements the model the paper *extends*: a configurable
@@ -28,11 +29,10 @@
 pub mod bunch;
 pub mod error;
 pub mod machine;
-pub mod summary;
 pub mod thread;
 
 pub use bunch::Bunch;
 pub use error::{ExecError, Fault};
 pub use machine::PramMachine;
-pub use summary::{summary_metrics, RunSummary};
+pub use tcf_machine::{summary_metrics, RunSummary};
 pub use thread::ThreadState;

@@ -31,13 +31,12 @@ use tcf_isa::instr::{Instr, MemSpace, Operand, Target};
 use tcf_isa::program::Program;
 use tcf_isa::reg::SpecialReg;
 use tcf_isa::word::{to_addr, Word};
-use tcf_machine::{GroupPipeline, IssueUnit, MachineConfig, MachineStats, Trace};
+use tcf_machine::{GroupPipeline, IssueUnit, MachineConfig, MachineStats, RunSummary, Trace};
 use tcf_mem::{LocalMemory, MemOp, MemRef, RefOrigin, SharedMemory, StepScratch, StepStats};
 use tcf_net::Network;
 
 use crate::bunch::Bunch;
 use crate::error::{ExecError, Fault};
-use crate::summary::RunSummary;
 use crate::thread::{ThreadState, ThreadStatus};
 
 /// Default step budget for [`PramMachine::run`].
@@ -180,12 +179,6 @@ impl PramMachine {
     /// Immutable access to a thread's state.
     pub fn thread(&self, group: usize, thread: usize) -> &ThreadState {
         &self.groups[group].threads[thread]
-    }
-
-    /// Mutable access to a thread's state (for host-side initialization in
-    /// tests and examples).
-    pub fn thread_mut(&mut self, group: usize, thread: usize) -> &mut ThreadState {
-        &mut self.groups[group].threads[thread]
     }
 
     /// Host-side bunch configuration (the paper's "configured to a NUMA

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # tcf — Extended PRAM-NUMA model of computation for TCF programming
 //!
 //! Umbrella crate re-exporting the whole workspace under one name. See the
@@ -21,3 +22,5 @@ pub use tcf_machine as machine;
 pub use tcf_mem as mem;
 pub use tcf_net as net;
 pub use tcf_pram as pram;
+
+pub use tcf_machine::{summary_metrics, RunSummary};

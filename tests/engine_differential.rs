@@ -4,29 +4,52 @@
 //! every worker count — the run summary (steps, cycles, machine, memory
 //! and network statistics), the final shared and local memories, the
 //! metrics registry and the Chrome trace, and even the error on faulting
-//! programs (the parallel engine rolls later fragments back so faults
-//! leave the exact partial state sequential execution leaves).
+//! programs (later fragments are rolled back so faults leave the exact
+//! partial state sequential execution leaves).
+//!
+//! The engine shards a step only above its grain (`LANE_GRAIN` per-lane
+//! lanes of one memory instruction, `REF_GRAIN` scalar references of one
+//! memory step), so every case here comes in two sizes: the small one pins
+//! that below the grain `par:N` stays on the coordinator (both `sharded_*`
+//! counters 0), the sized-up one — on [`hashed`], where an affine thick
+//! reference is one reference per lane — is where threads actually run, and
+//! asserts through the same counters that they did.
 //!
 //! This is the contract `docs/PARALLEL.md` argues for; this suite enforces
 //! it observable-by-observable.
 
 use proptest::prelude::*;
 
-use tcf::core::{Engine, TcfError, TcfMachine, Variant};
+use tcf::core::{Engine, TcfError, TcfFault, TcfMachine, Variant};
 use tcf::isa::instr::{BrCond, Instr, MemSpace, MultiKind, Operand, Target};
 use tcf::isa::op::AluOp;
 use tcf::isa::program::Program;
 use tcf::isa::reg::{r, Reg, SpecialReg};
 use tcf::isa::word::Word;
+use tcf::isa::ProgramBuilder;
 use tcf::machine::MachineConfig;
+use tcf::mem::{CrcwPolicy, MemError, ModuleMap};
 use tcf::pram::RunSummary;
 use tcf_bench::workloads;
 use tcf_obs::chrome::chrome_trace;
 use tcf_obs::json::metrics_json;
 
 const WORKERS: &[usize] = &[1, 2, 4, 7];
-const LOCAL_WINDOW: usize = 128;
 const SHARED_WINDOW: usize = 4096;
+
+/// A thickness above both grains that the workload arrays (2^14 words
+/// apart) still hold.
+const BIG: usize = 1 << 14;
+
+/// `MachineConfig::small()` under the hashed module map of the default
+/// machine: the closed form declines a strided reference there, so a thick
+/// load or store is one scalar reference per lane — what `thick_mem` runs.
+fn hashed() -> MachineConfig {
+    MachineConfig {
+        module_map: ModuleMap::linear(0xC0FFEE),
+        ..MachineConfig::small()
+    }
+}
 
 /// Everything externally observable about one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,23 +61,42 @@ struct Observed {
     trace: String,
 }
 
-fn observe(
-    variant: Variant,
-    program: &Program,
-    engine: Engine,
-    init: impl Fn(&mut TcfMachine),
-) -> Observed {
-    observe_on(MachineConfig::small(), variant, program, engine, init)
+/// What the engine sharded, `(slices, memory buckets)` — beside
+/// [`Observed`], not in it: this is what the engines are allowed to differ
+/// in.
+type Sharded = (u64, u64);
+
+/// Which side of the grain a case is sized for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grain {
+    /// Nothing leaves the coordinator at any worker count.
+    Below,
+    /// Slices and memory buckets are both sharded.
+    Above,
+    /// One fragment (vertical allocation), so no slice to shard; the
+    /// memory step is.
+    MemoryOnly,
 }
 
-fn observe_on(
+impl Grain {
+    fn holds(self, (slices, buckets): Sharded) -> bool {
+        match self {
+            Grain::Below => slices == 0 && buckets == 0,
+            Grain::Above => slices > 0 && buckets > 0,
+            Grain::MemoryOnly => slices == 0 && buckets > 0,
+        }
+    }
+}
+
+fn observe(
     config: MachineConfig,
     variant: Variant,
     program: &Program,
     engine: Engine,
     init: impl Fn(&mut TcfMachine),
-) -> Observed {
-    let groups = config.groups;
+) -> (Observed, Sharded) {
+    let (groups, local_size) = (config.groups, config.local_size);
+    let shared_size = config.shared_size;
     let mut m = TcfMachine::new(config, variant, program.clone());
     m.set_engine(engine);
     m.set_tracing(true);
@@ -63,18 +105,21 @@ fn observe_on(
     let outcome = m.run(50_000);
     let locals = (0..groups)
         .map(|g| {
-            (0..LOCAL_WINDOW)
+            (0..local_size)
                 .map(|a| m.peek_local(g, a).unwrap())
                 .collect()
         })
         .collect();
-    Observed {
+    let counters = m.engine_counters();
+    let sharded = (counters.sharded_slices, counters.sharded_buckets);
+    let observed = Observed {
         outcome,
-        shared: m.peek_range(0, SHARED_WINDOW).unwrap(),
+        shared: m.peek_range(0, shared_size).unwrap(),
         locals,
         metrics: metrics_json(&m.metrics()),
         trace: chrome_trace(&m.trace().events(), &m.obs().events()),
-    }
+    };
+    (observed, sharded)
 }
 
 fn all_variants() -> Vec<Variant> {
@@ -88,35 +133,72 @@ fn all_variants() -> Vec<Variant> {
     ]
 }
 
-/// Runs `program` under every variant sequentially and at every worker
-/// count, asserting bit-identical observables. A variant that faults on
-/// the program (e.g. `setthick` on a thread-based variant) must fault
-/// identically under the parallel engine, so faults are compared, not
-/// skipped.
-fn assert_engine_transparent(name: &str, program: &Program, init: impl Fn(&mut TcfMachine)) {
-    for variant in all_variants() {
-        let reference = observe(variant, program, Engine::Sequential, &init);
+/// Variants to run a case under, each with the side of the grain the case
+/// is sized for there.
+type Variants = Vec<(Variant, Grain)>;
+
+/// The six variants, sized for the small machine: nothing here reaches a
+/// grain.
+fn small_variants() -> Variants {
+    all_variants()
+        .into_iter()
+        .map(|v| (v, Grain::Below))
+        .collect()
+}
+
+/// The two TCF variants, which spread a flow over the four groups:
+/// `Balanced` in steps of 4 x `BIG / 4` lanes, so a thicker instruction
+/// resumes, and its last step may fall below the grain.
+fn tcf_variants() -> Variants {
+    vec![
+        (Variant::SingleInstruction, Grain::Above),
+        (Variant::Balanced { bound: BIG / 4 }, Grain::Above),
+    ]
+}
+
+/// Runs `program` on `config` under each of `variants` sequentially and at
+/// every worker count, asserting bit-identical observables and that the
+/// parallel runs sharded what the variant's [`Grain`] says (the sequential
+/// run never does). A variant that faults on the program (e.g. `setthick`
+/// on a thread-based variant) must fault identically under the parallel
+/// engine, so faults are compared, not skipped.
+fn assert_engine_transparent(
+    name: &str,
+    config: &MachineConfig,
+    variants: &[(Variant, Grain)],
+    program: &Program,
+    init: impl Fn(&mut TcfMachine),
+) {
+    for &(variant, grain) in variants {
+        let (reference, sharded) =
+            observe(config.clone(), variant, program, Engine::Sequential, &init);
+        assert_eq!(sharded, (0, 0), "{name} / {variant:?}: seq sharded");
         for &w in WORKERS {
-            let par = observe(variant, program, Engine::Parallel { workers: w }, &init);
+            let engine = Engine::Parallel { workers: w };
+            let (par, sharded) = observe(config.clone(), variant, program, engine, &init);
             assert_eq!(
                 reference.outcome, par.outcome,
                 "{name} / {variant:?} / par:{w}: run outcome diverged"
             );
-            assert_eq!(
-                reference.shared, par.shared,
+            assert!(
+                reference.shared == par.shared,
                 "{name} / {variant:?} / par:{w}: shared memory diverged"
             );
-            assert_eq!(
-                reference.locals, par.locals,
+            assert!(
+                reference.locals == par.locals,
                 "{name} / {variant:?} / par:{w}: local memories diverged"
             );
             assert_eq!(
                 reference.metrics, par.metrics,
                 "{name} / {variant:?} / par:{w}: metrics diverged"
             );
-            assert_eq!(
-                reference.trace, par.trace,
+            assert!(
+                reference.trace == par.trace,
                 "{name} / {variant:?} / par:{w}: trace diverged"
+            );
+            assert!(
+                grain.holds(sharded),
+                "{name} / {variant:?} / par:{w}: sized {grain:?}, sharded {sharded:?}"
             );
         }
     }
@@ -134,11 +216,38 @@ fn paper_workloads_match_across_engines() {
         ("tcf_numa_seq", workloads::tcf_numa_seq(10, 4), 0),
     ];
     for (name, program, size) in cases {
-        assert_engine_transparent(name, &program, |m| {
-            if size > 0 {
-                workloads::init_arrays_tcf(m, size);
-            }
-        });
+        let init = |m: &mut TcfMachine| workloads::init_arrays_tcf(m, size);
+        assert_engine_transparent(
+            name,
+            &MachineConfig::small(),
+            &small_variants(),
+            &program,
+            init,
+        );
+    }
+}
+
+/// The thick workloads again where the engine shards them. The scan's
+/// thickness shrinks from `2 * BIG - 1` to `BIG`, which `Balanced` runs as
+/// a sharded step of `BIG` lanes and an unsharded rest. `masked_two_way`
+/// is the fixed-thickness program (the others set their thickness, which
+/// that variant refuses): one fragment, so no slice to shard.
+#[test]
+fn sized_up_paper_workloads_shard_and_match_across_engines() {
+    let fixed = vec![(Variant::FixedThickness { width: BIG }, Grain::MemoryOnly)];
+    let cases: Vec<(&str, Program, Variants)> = vec![
+        (
+            "tcf_vector_add",
+            workloads::tcf_vector_add(BIG),
+            tcf_variants(),
+        ),
+        ("tcf_scan", workloads::tcf_scan(2 * BIG), tcf_variants()),
+        ("tcf_prefix", workloads::tcf_prefix(BIG), tcf_variants()),
+        ("masked_two_way", workloads::masked_two_way(BIG), fixed),
+    ];
+    for (name, program, variants) in cases {
+        let init = |m: &mut TcfMachine| workloads::init_arrays_tcf(m, BIG);
+        assert_engine_transparent(name, &hashed(), &variants, &program, init);
     }
 }
 
@@ -266,25 +375,14 @@ fn run_list_equals_running_flows_after_every_step() {
     }
 }
 
-#[test]
-fn engine_env_spec_selects_parallel() {
-    // Machines pick the engine up from TCF_ENGINE at construction (other
-    // tests constructing machines concurrently just run parallel — which
-    // is bit-identical, so harmless).
-    std::env::set_var("TCF_ENGINE", "par:3");
-    let m = TcfMachine::new(
-        MachineConfig::small(),
-        Variant::SingleInstruction,
-        workloads::tcf_vector_add(8),
-    );
-    std::env::remove_var("TCF_ENGINE");
-    assert_eq!(m.engine(), Engine::Parallel { workers: 3 });
-    let m = TcfMachine::new(
-        MachineConfig::small(),
-        Variant::SingleInstruction,
-        workloads::tcf_vector_add(8),
-    );
-    assert_eq!(m.engine(), Engine::Sequential);
+/// `setthick thickness; r1 = tid;` then `body`, then `halt`.
+fn thick_program(thickness: usize, body: impl Fn(&mut ProgramBuilder)) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.setthick(thickness as Word);
+    b.mfs(r(1), SpecialReg::Tid);
+    body(&mut b);
+    b.halt();
+    b.build().unwrap()
 }
 
 #[test]
@@ -292,66 +390,102 @@ fn faulting_program_leaves_identical_partial_state() {
     // A thick store that walks out of the shared window mid-instruction:
     // some lanes' register writes land before the fault. The parallel
     // engine must reproduce the exact partial state, not just the error.
-    let program = Program::new(
-        vec![
-            Instr::SetThick {
-                src: Operand::Imm(50),
-            },
-            Instr::Mfs {
-                rd: r(1),
-                sr: SpecialReg::Tid,
-            },
-            Instr::Alu {
-                op: AluOp::Mul,
-                rd: r(2),
-                ra: r(1),
-                rb: Operand::Imm(40_000),
-            },
-            // addr = tid * 40_000: lanes 0 and 1 are fine, lane 2 is out
-            // of the 1<<16-word shared space.
-            Instr::St {
-                rs: r(1),
-                base: r(2),
-                off: 0,
-                space: MemSpace::Shared,
-            },
-            Instr::Halt,
-        ],
-        Default::default(),
-        vec![],
-    )
-    .unwrap();
-    assert_engine_transparent("mid_instruction_fault", &program, |_| {});
-
+    // addr = tid * 40_000: lanes 0 and 1 are fine, lane 2 is out of the
+    // 1<<16-word shared space.
+    let shared_fault = thick_program(50, |b| {
+        b.alu(AluOp::Mul, r(2), r(1), 40_000);
+        b.st(r(1), r(2), 0);
+    });
     // Same for a local-memory fault (local space is 1<<12 words).
-    let program = Program::new(
-        vec![
-            Instr::SetThick {
-                src: Operand::Imm(50),
-            },
-            Instr::Mfs {
-                rd: r(1),
-                sr: SpecialReg::Tid,
-            },
-            Instr::Alu {
-                op: AluOp::Mul,
-                rd: r(2),
-                ra: r(1),
-                rb: Operand::Imm(300),
-            },
-            Instr::St {
-                rs: r(1),
-                base: r(2),
-                off: 0,
-                space: MemSpace::Local,
-            },
-            Instr::Halt,
-        ],
-        Default::default(),
-        vec![],
-    )
-    .unwrap();
-    assert_engine_transparent("local_fault", &program, |_| {});
+    let local_fault = thick_program(50, |b| {
+        b.alu(AluOp::Mul, r(2), r(1), 300);
+        b.stl(r(1), r(2), 0);
+    });
+    let small = MachineConfig::small();
+    for (name, program) in [("shared_fault", shared_fault), ("local_fault", local_fault)] {
+        assert_engine_transparent(name, &small, &small_variants(), &program, |_| {});
+    }
+}
+
+/// The faults again with every fragment's lanes on a thread of their own.
+/// Each program first stores from every lane (`rs` to `[100 + (tid &
+/// 4095)]`, all lanes of an address the same value), so both regions are
+/// sharded before the faulting instruction is reached.
+#[test]
+fn sized_up_faults_leave_identical_partial_state() {
+    let warmed_up = |rs: Reg, body: &dyn Fn(&mut ProgramBuilder)| {
+        thick_program(BIG + 4000, |b| {
+            b.alu(AluOp::And, r(2), r(1), 4095);
+            b.st(rs, r(2), 100);
+            body(b);
+        })
+    };
+
+    // Out of the shared window: lanes from 2^14 on store past the end, and
+    // the memory step refuses the whole reference list.
+    let out_of_window = warmed_up(r(2), &|b| {
+        b.alu(AluOp::Mul, r(3), r(1), 4);
+        b.st(r(1), r(3), 0);
+    });
+    assert_engine_transparent(
+        "out_of_window",
+        &hashed(),
+        &tcf_variants(),
+        &out_of_window,
+        |_| {},
+    );
+
+    // A fault found while resolving: under the Common policy lanes `k` and
+    // `k + 4096` write different values to one word, at every one of 4096
+    // addresses spread over all four modules. Sequential resolution walks
+    // addresses upwards and reports the lowest; each shard reports its own
+    // lowest and the engine must pick the same one.
+    let common = MachineConfig {
+        crcw: CrcwPolicy::Common,
+        ..hashed()
+    };
+    let conflict = warmed_up(r(0), &|b| {
+        b.st(r(1), r(2), 100);
+    });
+    assert_engine_transparent(
+        "common_conflict",
+        &common,
+        &tcf_variants(),
+        &conflict,
+        |_| {},
+    );
+    let variant = Variant::SingleInstruction;
+    let (seq, _) = observe(common, variant, &conflict, Engine::Sequential, |_| {});
+    let err = seq.outcome.expect_err("conflicting writes fault");
+    assert_eq!(
+        err.fault,
+        TcfFault::Mem(MemError::CommonWriteConflict { addr: 100 }),
+        "the lowest conflicting address"
+    );
+
+    // A local fault in the first fragment only: lane 3000 stores out of
+    // its group's block, every other lane — the other three fragments
+    // whole — stores in range, so three fragments' local writes are undone.
+    let local_undo = warmed_up(r(2), &|b| {
+        b.alu(AluOp::Seq, r(3), r(1), 3000);
+        b.alu(AluOp::Mul, r(3), r(3), 100_000);
+        b.alu(AluOp::Add, r(3), r(3), r(2));
+        b.stl(r(1), r(3), 0);
+    });
+    assert_engine_transparent(
+        "local_undo",
+        &hashed(),
+        &tcf_variants(),
+        &local_undo,
+        |_| {},
+    );
+    let (seq, _) = observe(hashed(), variant, &local_undo, Engine::Sequential, |_| {});
+    assert!(seq.outcome.is_err(), "lane 3000 faults");
+    // Group 0 keeps what lanes 0..3000 wrote, the rolled-back groups
+    // nothing.
+    assert_eq!(seq.locals[0][2999], 2999);
+    assert_eq!(seq.locals[0][3000], 0);
+    assert!(seq.locals[1..].iter().all(|l| l.iter().all(|&w| w == 0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -383,16 +517,21 @@ enum Segment {
         base: usize,
         dst: u8,
     },
+    /// `scattered`: through the per-thread address (up to `T / 256`
+    /// contributions combine in each of 256 words) instead of all into one
+    /// word.
     Multi {
         kind: MultiKind,
         addr: usize,
         src: u8,
+        scattered: bool,
     },
     Prefix {
         kind: MultiKind,
         addr: usize,
         dst: u8,
         src: u8,
+        scattered: bool,
     },
 }
 
@@ -429,20 +568,28 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
         (
             prop::sample::select(&MultiKind::ALL[..]),
             base.clone(),
-            data_reg()
+            data_reg(),
+            any::<bool>()
         )
-            .prop_map(|(kind, addr, src)| Segment::Multi { kind, addr, src }),
+            .prop_map(|(kind, addr, src, scattered)| Segment::Multi {
+                kind,
+                addr,
+                src,
+                scattered
+            }),
         (
             prop::sample::select(&MultiKind::ALL[..]),
             base,
             data_reg(),
-            data_reg()
+            data_reg(),
+            any::<bool>()
         )
-            .prop_map(|(kind, addr, dst, src)| Segment::Prefix {
+            .prop_map(|(kind, addr, dst, src, scattered)| Segment::Prefix {
                 kind,
                 addr,
                 dst,
-                src
+                src,
+                scattered
             }),
     ]
 }
@@ -523,24 +670,40 @@ fn lower(segments: &[Segment]) -> Program {
                     space: MemSpace::Local,
                 });
             }
-            Segment::Multi { kind, addr: a, src } => instrs.push(Instr::MultiOp {
+            Segment::Multi {
                 kind,
-                base: Reg::ZERO,
-                off: a as Word,
-                rs: r(src),
-            }),
+                addr: a,
+                src,
+                scattered,
+            } => {
+                if scattered {
+                    thick_addr(&mut instrs, addr);
+                }
+                instrs.push(Instr::MultiOp {
+                    kind,
+                    base: if scattered { addr } else { Reg::ZERO },
+                    off: a as Word,
+                    rs: r(src),
+                });
+            }
             Segment::Prefix {
                 kind,
                 addr: a,
                 dst,
                 src,
-            } => instrs.push(Instr::MultiPrefix {
-                kind,
-                rd: r(dst),
-                base: Reg::ZERO,
-                off: a as Word,
-                rs: r(src),
-            }),
+                scattered,
+            } => {
+                if scattered {
+                    thick_addr(&mut instrs, addr);
+                }
+                instrs.push(Instr::MultiPrefix {
+                    kind,
+                    rd: r(dst),
+                    base: if scattered { addr } else { Reg::ZERO },
+                    off: a as Word,
+                    rs: r(src),
+                });
+            }
         }
     }
     instrs.push(Instr::Halt);
@@ -555,12 +718,14 @@ proptest! {
     /// its boundary bounds (1 = one operation per processor per step,
     /// 64 = a whole instruction per step on the small machine), and
     /// `FixedThickness` at widths off the `LANE_CHUNK` (= 8) grid so
-    /// partially filled SIMD chunks shard identically. The paper
+    /// partially filled SIMD chunks execute identically — all of it below
+    /// the grain; then the same segments at thicknesses above it. The paper
     /// workloads test above covers all six variants per workload.
     #[test]
     fn random_programs_match_across_engines(
         segments in prop::collection::vec(arb_segment(), 1..14)
     ) {
+        let small = MachineConfig::small;
         let program = lower(&segments);
         for variant in [
             Variant::SingleInstruction,
@@ -568,10 +733,12 @@ proptest! {
             Variant::Balanced { bound: 3 },
             Variant::Balanced { bound: 64 },
         ] {
-            let reference = observe(variant, &program, Engine::Sequential, |_| {});
+            let (reference, _) = observe(small(), variant, &program, Engine::Sequential, |_| {});
             for &w in &[2usize, 4] {
-                let par = observe(variant, &program, Engine::Parallel { workers: w }, |_| {});
-                prop_assert_eq!(&reference, &par, "{:?} diverged under par:{}", variant, w);
+                let engine = Engine::Parallel { workers: w };
+                let (par, sharded) = observe(small(), variant, &program, engine, |_| {});
+                prop_assert!(reference == par, "{:?} diverged under par:{}", variant, w);
+                prop_assert_eq!(sharded, (0, 0), "{:?} sharded under par:{}", variant, w);
             }
         }
         // `FixedThickness` rejects `setthick`, so sweep it over the same
@@ -586,11 +753,47 @@ proptest! {
         let program = lower(&preset);
         for width in [13usize, 50] {
             let variant = Variant::FixedThickness { width };
-            let reference = observe(variant, &program, Engine::Sequential, |_| {});
+            let (reference, _) = observe(small(), variant, &program, Engine::Sequential, |_| {});
             for &w in &[2usize, 4] {
-                let par = observe(variant, &program, Engine::Parallel { workers: w }, |_| {});
-                prop_assert_eq!(&reference, &par, "{:?} diverged under par:{}", variant, w);
+                let engine = Engine::Parallel { workers: w };
+                let (par, sharded) = observe(small(), variant, &program, engine, |_| {});
+                prop_assert!(reference == par, "{:?} diverged under par:{}", variant, w);
+                prop_assert_eq!(sharded, (0, 0), "{:?} sharded under par:{}", variant, w);
             }
+        }
+        // Above the grain: the flow starts `BIG` thick and every
+        // `setthick k` asks for `BIG + 100 k`. The segments address memory
+        // through `tid & 255`, explicit lanes, so each shared load, store
+        // or scattered multioperation is a sharded instruction and a
+        // sharded memory step, each local access a sharded instruction;
+        // multioperations on one word stay bulk.
+        let thick: Vec<Segment> = std::iter::once(Segment::SetThick(BIG))
+            .chain(segments.iter().map(|s| match s {
+                Segment::SetThick(k) => Segment::SetThick(BIG + 100 * k),
+                other => other.clone(),
+            }))
+            .collect();
+        let shared = segments.iter().any(|s| {
+            matches!(
+                s,
+                Segment::ThickStore { .. }
+                    | Segment::ThickLoad { .. }
+                    | Segment::Multi { scattered: true, .. }
+                    | Segment::Prefix { scattered: true, .. }
+            )
+        });
+        let local = segments
+            .iter()
+            .any(|s| matches!(s, Segment::LocalStore { .. } | Segment::LocalLoad { .. }));
+        let program = lower(&thick);
+        let variant = Variant::SingleInstruction;
+        let (reference, _) = observe(small(), variant, &program, Engine::Sequential, |_| {});
+        for &w in &[2usize, 7] {
+            let engine = Engine::Parallel { workers: w };
+            let (par, (slices, buckets)) = observe(small(), variant, &program, engine, |_| {});
+            prop_assert!(reference == par, "thick segments diverged under par:{}", w);
+            prop_assert_eq!(slices > 0, shared || local, "par:{} sharded {} slices", w, slices);
+            prop_assert_eq!(buckets > 0, shared, "par:{} sharded {} buckets", w, buckets);
         }
         // `MultiInstruction`: a spawn executed as compressed blocks must
         // be indistinguishable from the same spawn executed thread by
@@ -605,7 +808,7 @@ proptest! {
         for n in [40usize, 100] {
             let program = spawn_task(n, &preset);
             let run = |shatter: Word| {
-                let mut o = observe_on(
+                let (mut o, _) = observe(
                     wide.clone(),
                     Variant::MultiInstruction,
                     &program,
@@ -704,43 +907,24 @@ fn spawn_task(n: usize, segments: &[Segment]) -> Program {
 
 /// Every thick-register decay is billed to exactly one taxonomy reason:
 /// across a differential run the per-reason counters exported by
-/// `metrics()` must sum to `thick.decay_total`, on both engines. A new
+/// `metrics()` must sum to `thick.decay_total`, on both engines — the
+/// parallel one sharding the load. A new
 /// decay site that bumps the total without (or with a double) reason
 /// attribution breaks this identity.
 #[test]
 fn decay_taxonomy_sums_to_total() {
     // `and` on the affine lane ids escapes the affine algebra and lands
     // per-lane on a compressed register (`lane_write`, or
-    // `balanced_resume` when a bound makes the write partial); the later
-    // `setthick` then decays the still-affine r3 (`setthick`).
-    let program = Program::new(
-        vec![
-            Instr::SetThick {
-                src: Operand::Imm(40),
-            },
-            Instr::Mfs {
-                rd: r(1),
-                sr: SpecialReg::Tid,
-            },
-            Instr::Alu {
-                op: AluOp::And,
-                rd: r(1),
-                ra: r(1),
-                rb: Operand::Imm(1),
-            },
-            Instr::Mfs {
-                rd: r(3),
-                sr: SpecialReg::Tid,
-            },
-            Instr::SetThick {
-                src: Operand::Imm(20),
-            },
-            Instr::Halt,
-        ],
-        Default::default(),
-        vec![],
-    )
-    .unwrap();
+    // `balanced_resume` when a bound makes the write partial); the load
+    // through it is one reference per lane, replying into the affine r3;
+    // the later `setthick` then decays the still-affine r4 (`setthick`).
+    let program = thick_program(BIG + 4000, |b| {
+        b.alu(AluOp::And, r(1), r(1), 1);
+        b.mfs(r(3), SpecialReg::Tid);
+        b.ld(r(3), r(1), 100);
+        b.mfs(r(4), SpecialReg::Tid);
+        b.setthick(BIG as Word / 2);
+    });
     const REASONS: [&str; 7] = [
         "thick.decay_setthick",
         "thick.decay_lane_write",
@@ -750,9 +934,9 @@ fn decay_taxonomy_sums_to_total() {
         "thick.decay_balanced_resume",
         "thick.decay_async_slice",
     ];
-    for variant in [Variant::SingleInstruction, Variant::Balanced { bound: 3 }] {
+    for (variant, grain) in tcf_variants() {
         for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-            let mut m = TcfMachine::new(MachineConfig::small(), variant, program.clone());
+            let mut m = TcfMachine::new(hashed(), variant, program.clone());
             m.set_engine(engine);
             m.run(50_000).unwrap();
             let reg = m.metrics();
@@ -768,6 +952,13 @@ fn decay_taxonomy_sums_to_total() {
             assert!(
                 total > 0,
                 "{variant:?} / {engine:?}: workload never decayed"
+            );
+            let counters = m.engine_counters();
+            let sharded = (counters.sharded_slices, counters.sharded_buckets);
+            assert_eq!(
+                grain.holds(sharded),
+                engine != Engine::Sequential,
+                "{variant:?} / {engine:?}: sharded {sharded:?}"
             );
         }
     }

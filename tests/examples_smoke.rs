@@ -3,8 +3,7 @@
 //! Each example exposes its body as `pub fn run()` (or `run_args` for the
 //! CLI driver) precisely so this suite can include it with `#[path]` and
 //! execute it inside the test process — no nested `cargo run`, no binary
-//! discovery, and the examples participate in `TCF_ENGINE`-swept CI runs
-//! like everything else. Examples assert their own results internally;
+//! discovery. Examples assert their own results internally;
 //! reaching the end without a panic is the contract.
 
 #[path = "../examples/bfs.rs"]

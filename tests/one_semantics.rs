@@ -126,6 +126,160 @@ fn nine_data_instructions_mean_the_same_under_every_schedule() {
     );
 }
 
+/// One memory instruction at the effective address `r1 + off`, storing or
+/// contributing `r2`, loading into `r3`.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    St,
+    Ld,
+    Multi,
+    Prefix,
+    Stl,
+    Ldl,
+}
+
+impl Access {
+    const ALL: [Access; 6] = [
+        Access::St,
+        Access::Ld,
+        Access::Multi,
+        Access::Prefix,
+        Access::Stl,
+        Access::Ldl,
+    ];
+
+    fn emit(self, b: &mut ProgramBuilder, off: Word) {
+        b.ldi(r(2), 1);
+        match self {
+            Access::St => b.st(r(2), r(1), off),
+            Access::Ld => b.ld(r(3), r(1), off),
+            Access::Multi => b.multiop(MultiKind::Add, r(1), off, r(2)),
+            Access::Prefix => b.multiprefix(MultiKind::Add, r(3), r(1), off, r(2)),
+            Access::Stl => b.stl(r(2), r(1), off),
+            Access::Ldl => b.ldl(r(3), r(1), off),
+        };
+    }
+}
+
+/// How the lanes of a thick access get their base register `r1`.
+#[derive(Debug, Clone, Copy)]
+enum Base {
+    /// `tid`: an affine register, whose address run `AddrRun::from_words`
+    /// declines because lanes fall below 0.
+    Affine,
+    /// `tid & 3`: explicit lanes.
+    Lanes,
+}
+
+/// `access` at `r1 − 200` from every lane of a flow eight thick (however
+/// `variant` gets there), lanes 0..8 of `r1` set per `base`.
+fn thick_negative(variant: Variant, access: Access, base: Base) -> Program {
+    let mut b = ProgramBuilder::new();
+    match variant {
+        Variant::FixedThickness { .. } => {}
+        Variant::MultiInstruction => {
+            b.spawn(8, "task");
+            b.halt();
+            b.label("task");
+        }
+        _ => {
+            b.setthick(8);
+        }
+    }
+    b.mfs(r(1), SpecialReg::Tid);
+    if let Base::Lanes = base {
+        b.alu(AluOp::And, r(1), r(1), 3);
+    }
+    access.emit(&mut b, -200);
+    if matches!(variant, Variant::MultiInstruction) {
+        b.sjoin();
+    } else {
+        b.halt();
+    }
+    b.build().unwrap()
+}
+
+/// A negative effective address is a memory fault — on the step port
+/// (flow-wise, per-lane and with an affine base the closed form declines),
+/// on the direct port (a NUMA stream, a spawned block) and on the baseline
+/// machine — and never an access to word 0.
+#[test]
+fn a_negative_effective_address_faults_under_every_schedule() {
+    use tcf::core::TcfFault;
+    use tcf::mem::MemError;
+
+    fn expect_fault(what: &str, variant: Variant, program: Program) {
+        let mut m = TcfMachine::new(MachineConfig::small(), variant, program);
+        m.poke(0, 77).unwrap();
+        let err = m
+            .run(10_000)
+            .expect_err(&format!("{what} / {variant:?}: ran to the end"));
+        assert!(
+            matches!(
+                err.fault,
+                TcfFault::Mem(
+                    MemError::OutOfBounds { addr, .. } | MemError::LocalOutOfBounds { addr, .. }
+                ) if addr == usize::MAX
+            ),
+            "{what} / {variant:?}: {err}"
+        );
+        assert_eq!(m.peek(0).unwrap(), 77, "{what} / {variant:?}: word 0");
+        for g in 0..MachineConfig::small().groups {
+            assert_eq!(m.peek_local(g, 0).unwrap(), 0, "{what} / {variant:?}");
+        }
+    }
+
+    for access in Access::ALL {
+        // `r1` is 0 on the one thread that gets here: address −200.
+        let unit = |b: &mut ProgramBuilder| access.emit(b, -200);
+        let in_numa = |b: &mut ProgramBuilder| {
+            b.numa(1);
+            access.emit(b, -200);
+            b.endnuma();
+        };
+        let what = format!("{access:?}");
+        for variant in [
+            Variant::SingleInstruction,
+            Variant::Balanced { bound: 3 },
+            Variant::SingleOperation,
+            Variant::ConfigurableSingleOperation,
+            Variant::FixedThickness { width: 8 },
+            Variant::MultiInstruction,
+        ] {
+            // Thread variants run unit flows only; the others go thick.
+            if matches!(
+                variant,
+                Variant::SingleOperation | Variant::ConfigurableSingleOperation
+            ) {
+                expect_fault(&what, variant, guarded(unit));
+            } else {
+                for base in [Base::Affine, Base::Lanes] {
+                    let program = thick_negative(variant, access, base);
+                    expect_fault(&format!("{what}, {base:?}"), variant, program);
+                }
+            }
+            if variant.supports_numa() {
+                expect_fault(&format!("{what}, NUMA"), variant, guarded(in_numa));
+            }
+        }
+
+        let mut pram = PramMachine::new(MachineConfig::small(), guarded(unit));
+        pram.poke(0, 77).unwrap();
+        let err = pram.run(10_000).expect_err("baseline ran to the end");
+        assert!(
+            matches!(
+                err.fault,
+                tcf::pram::Fault::Mem(
+                    MemError::OutOfBounds { addr, .. } | MemError::LocalOutOfBounds { addr, .. }
+                ) if addr == usize::MAX
+            ),
+            "{what} / baseline: {err}"
+        );
+        assert_eq!(pram.peek(0).unwrap(), 77, "{what} / baseline: word 0");
+        assert_eq!(pram.peek_local(0, 0).unwrap(), 0, "{what} / baseline");
+    }
+}
+
 /// `min` over two progressions that cross (`tid − 8` against `−tid − 7`:
 /// lanes −8, −8, −9, …) and its `max` mirror, stored to words 100…: the
 /// closed form's first region is one lane wide and the second starts at
