@@ -9,9 +9,6 @@
 //! repro sweeps         # ablations: balanced bound, buffer size,
 //!                      #            allocation, network placement
 //! repro metrics        # stable-schema JSON metrics dump (tcf-metrics/v1)
-//! repro bench-json     # hot-path throughput probes -> BENCH_hotpath.json
-//!                      # (steps/sec + instrs/sec; see docs/PERFORMANCE.md);
-//!                      # --out <file> overrides the destination
 //! repro --paper ...    # use the paper-scale machine (P=16, Tp=64)
 //! repro ... --trace-out trace.json
 //!                      # additionally write a Chrome trace_event file
@@ -58,15 +55,6 @@ fn main() -> ExitCode {
         stream_out = Some(args.remove(i + 1));
         args.remove(i);
     }
-    let mut bench_out = String::from("BENCH_hotpath.json");
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        if i + 1 >= args.len() {
-            eprintln!("--out needs a file argument");
-            return ExitCode::FAILURE;
-        }
-        bench_out = args.remove(i + 1);
-        args.remove(i);
-    }
     let config = if paper {
         tcf_bench::paper_config()
     } else {
@@ -80,8 +68,7 @@ fn main() -> ExitCode {
 
     // `metrics` is machine-readable: keep stdout pure JSON so the output
     // pipes straight into jq and friends; the banner goes to stderr.
-    // `bench-json` likewise keeps its stdout to one status line.
-    if what == "metrics" || what == "bench-json" {
+    if what == "metrics" {
         eprintln!(
             "# extended PRAM-NUMA reproduction -- machine: P={}, Tp={}, R={}",
             config.groups, config.threads_per_group, config.regs_per_thread
@@ -107,14 +94,6 @@ fn main() -> ExitCode {
         "sweeps" => println!("{}", sweeps(&config)),
         "scaling" => println!("{}", scaling()),
         "metrics" => println!("{}", tcf_bench::trace_export::metrics_demo(&config)),
-        "bench-json" => {
-            let json = tcf_bench::hotpath::bench_json(5);
-            if let Err(e) = write_output(&bench_out, &json, force) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote hot-path bench ({} bytes) to {bench_out}", json.len());
-        }
         other => {
             if let Some(n) = other
                 .strip_prefix("fig")
@@ -130,7 +109,7 @@ fn main() -> ExitCode {
             } else {
                 eprintln!(
                     "unknown experiment `{other}`; try \
-                     all|table1|figs|fig<N>|progs|sweeps|scaling|metrics|bench-json"
+                     all|table1|figs|fig<N>|progs|sweeps|scaling|metrics"
                 );
                 return ExitCode::FAILURE;
             }

@@ -25,7 +25,6 @@
 
 pub mod debugger;
 pub mod figures;
-pub mod hotpath;
 pub mod parallel;
 pub mod progs;
 pub mod report;

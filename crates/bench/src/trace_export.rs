@@ -181,6 +181,7 @@ mod tests {
             "thick.decay_async_slice",
             "engine.compressed_slices",
             "engine.coalesce_hits",
+            "engine.flows_visited",
             "mem.bulk_fast",
             "net.route_sends",
             "obs.trace_dropped",

@@ -24,8 +24,10 @@
 /// explicit per-thread lanes. One counter per reason in the taxonomy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThickDecayCounters {
-    /// Decays forced by a thickness change (`setthick`): compressed forms
-    /// extend past the old thickness and must be pinned first.
+    /// Decays forced by a thickness change (`setthick`). Always 0: a
+    /// thickness change pins affine registers in closed form (one run of
+    /// the old thickness) and decays nothing. Kept so readers of the
+    /// taxonomy keep their field.
     pub setthick: u64,
     /// Decays caused by a per-lane register write disagreeing with the
     /// compressed progression (the merge's `write_lanes` replay).
@@ -102,6 +104,11 @@ pub struct EngineCounters {
     /// Observability events absorbed from fragment outputs into the main
     /// sink during the merge.
     pub absorbed_events: u64,
+    /// Flows the per-step flow enumerations walked: the run list's length,
+    /// added once per step by the workable-flow check and once by the
+    /// executor's snapshot. A step costs its runnable flows, not the
+    /// flow table.
+    pub flows_visited: u64,
     /// Per-lane slices that ran inside a sharded region: a memory
     /// instruction under [`Engine::Parallel`](crate::Engine::Parallel)
     /// whose closed-form attempts left at least `LANE_GRAIN` lanes to the

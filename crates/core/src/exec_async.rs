@@ -107,6 +107,7 @@ impl TcfMachine {
         for v in &mut bufs.per_group {
             v.clear();
         }
+        self.engine_counters.flows_visited += self.flows.runnable().len() as u64;
         for f in self.flows.running() {
             bufs.per_group[f.home_group()].push(f.id);
         }

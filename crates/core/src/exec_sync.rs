@@ -88,7 +88,9 @@ impl TcfMachine {
         slots_used.resize(ngroups, 0);
 
         ids.clear();
-        ids.extend_from_slice(self.flows.runnable());
+        let runnable = self.flows.runnable();
+        self.engine_counters.flows_visited += runnable.len() as u64;
+        ids.extend_from_slice(runnable);
         for &id in ids.iter() {
             // Status can change mid-step (bunch absorption), so re-check.
             if !self.flows[&id].is_running() {
@@ -347,13 +349,14 @@ impl TcfMachine {
                         to: v as usize,
                     },
                 );
-                // Compressed (affine/segment) registers describe an
-                // unbounded progression; pin their observable lanes at
-                // the OLD thickness before it changes, so lanes exposed
-                // by a later grow read 0 exactly as per-thread storage
-                // would.
+                // Affine registers describe an unbounded progression; pin
+                // them at the OLD thickness before it changes, in closed
+                // form, so lanes exposed by a later grow read 0 exactly
+                // as per-thread storage would.
                 let old = flow.thickness;
-                self.thick_decay.setthick += flow.regs.decay_compressed(old);
+                if v as usize != old {
+                    flow.regs.pin(old);
+                }
                 flow.thickness = v as usize;
                 flow.fragments =
                     self.allocation

@@ -479,6 +479,7 @@ impl TcfMachine {
         reg.set_counter("engine.coalesce_hits", e.coalesce_hits);
         reg.set_counter("engine.coalesce_misses", e.coalesce_misses);
         reg.set_counter("engine.absorbed_events", e.absorbed_events);
+        reg.set_counter("engine.flows_visited", e.flows_visited);
         let bulk = self.shared.bulk_stats();
         reg.set_counter("mem.bulk_fast", bulk.fast);
         reg.set_counter("mem.bulk_expanded", bulk.expanded);
@@ -558,7 +559,8 @@ impl TcfMachine {
     }
 
     /// Whether any flow can make progress this step.
-    pub(crate) fn has_workable_flow(&self) -> bool {
+    fn has_workable_flow(&mut self) -> bool {
+        self.engine_counters.flows_visited += self.flows.runnable().len() as u64;
         self.flows.running().any(|f| match f.mode {
             ExecMode::Pram => f.thickness > 0,
             ExecMode::Numa { slots } => slots > 0,

@@ -90,10 +90,11 @@ impl ThickValue {
 
     /// A piecewise value from runs in lane order, folded into canonical
     /// form ([`Seg::try_merge`]): no runs collapse to zero (lanes beyond
-    /// the runs read 0), a single run covering at least `thickness` lanes
-    /// collapses to its affine form (the tail beyond the covered lanes is
-    /// unobservable — thickness growth decays compressed registers
-    /// first).
+    /// the runs read 0), a single run covering exactly `thickness` lanes
+    /// collapses to its affine form (the progression past the thickness
+    /// is unobservable — a thickness change pins affine registers first).
+    /// A longer run holds lanes an earlier, thicker pin kept, and stays
+    /// bounded.
     fn from_segs(runs: impl IntoIterator<Item = Seg>, thickness: usize) -> ThickValue {
         let mut segs: Vec<Seg> = Vec::new();
         // Internal iteration: a chain of clips folds as one plain loop
@@ -105,7 +106,7 @@ impl ThickValue {
         });
         match segs[..] {
             [] => ThickValue::Uniform(0),
-            [s] if s.len as usize >= thickness => ThickValue::affine(s.base, s.stride),
+            [s] if s.len as usize == thickness => ThickValue::affine(s.base, s.stride),
             _ => ThickValue::Segments(segs),
         }
     }
@@ -278,6 +279,19 @@ impl ThickValue {
         }
     }
 
+    /// Lanes the stored representation spells out, past which it reads
+    /// 0: a `Segments` list's length, a `PerThread` vector's, and 0 for
+    /// the forms that describe every lane. A write keeps those past the
+    /// thickness — what an earlier, thicker [`pin`](ThickValue::pin) or
+    /// per-thread store kept there is read again once the flow regrows.
+    fn held(&self) -> usize {
+        match self {
+            ThickValue::Segments(segs) => segs.iter().map(|s| s.len as usize).sum(),
+            ThickValue::PerThread(vs) => vs.len(),
+            ThickValue::Uniform(_) | ThickValue::Affine { .. } => 0,
+        }
+    }
+
     /// Materializes the value as a per-thread vector of length `thickness`.
     pub fn materialize(&self, thickness: usize) -> Vec<Word> {
         let mut out = vec![0; thickness];
@@ -321,8 +335,9 @@ impl ThickValue {
     /// when the written value equals what lane `i` already reads —
     /// including at the thickness boundaries (`i == thickness - 1`,
     /// `thickness == 1`) — and otherwise decay to a `PerThread` vector of
-    /// length `max(thickness, i + 1)` with the write applied, exactly the
-    /// state a never-compressed register would be in.
+    /// length `max(thickness, i + 1)` (or the lanes a `Segments` value
+    /// holds, if more) with the write applied, exactly the state a
+    /// never-compressed register would be in.
     pub fn set(&mut self, i: usize, v: Word, thickness: usize) {
         match self {
             ThickValue::Uniform(u) if *u == v => {}
@@ -341,7 +356,7 @@ impl ThickValue {
                 if self.get(i) == v {
                     return;
                 }
-                let mut vs = self.materialize(thickness.max(i + 1));
+                let mut vs = self.materialize(thickness.max(i + 1).max(self.held()));
                 vs[i] = v;
                 *self = ThickValue::PerThread(vs);
             }
@@ -369,22 +384,23 @@ impl ThickValue {
         self.is_uniform()
     }
 
-    /// Decays compressed affine forms to explicit lanes at the given
-    /// thickness. `Uniform` and `PerThread` values are left untouched.
+    /// Bounds an `Affine` value at `len` lanes, in closed form: one run
+    /// of `len` lanes, past which it reads 0.
     ///
     /// This is the semantic guard for thickness changes: an `Affine`
     /// value extends its progression to every lane index, whereas the
     /// per-thread vector it stands in for would read 0 beyond the old
-    /// thickness. Decaying at the *old* thickness before the change keeps
-    /// both behaviours observably identical. Returns whether a compressed
-    /// form was actually materialized (the decay-reason counters sum
-    /// these).
-    pub fn decay_compressed(&mut self, thickness: usize) -> bool {
-        if matches!(self, ThickValue::Affine { .. } | ThickValue::Segments(_)) {
-            *self = ThickValue::PerThread(self.materialize(thickness.max(1)));
-            return true;
+    /// thickness. Pinning at the *old* thickness before the change keeps
+    /// both behaviours observably identical. The other forms already say
+    /// what lies past the thickness — `Uniform` the same word, `Segments`
+    /// and `PerThread` the lanes they hold and 0 beyond — so they are
+    /// left as they are: a bounded value is never cut shorter, because
+    /// the lanes an earlier, thicker pin kept are read again when the
+    /// flow regrows.
+    pub(crate) fn pin(&mut self, len: usize) {
+        if let ThickValue::Affine { base, stride } = *self {
+            *self = ThickValue::Segments(vec![Seg::new(len.max(1), base, stride)]);
         }
-        false
     }
 }
 
@@ -830,7 +846,7 @@ impl ThickRegs {
                     return false;
                 };
                 let first = base + p;
-                let mut vs = cur.materialize(thickness.max(first + 1));
+                let mut vs = cur.materialize(thickness.max(first + 1).max(cur.held()));
                 if vs.len() < end {
                     vs.resize(end, 0);
                 }
@@ -845,13 +861,14 @@ impl ThickRegs {
     /// to the `count` lanes starting at `base` of register `r` — the
     /// value-level equivalent of [`write_lanes`](ThickRegs::write_lanes)
     /// for a run the caller holds in compressed form. Lanes below
-    /// `max(thickness, base + count)` read exactly what the per-lane
-    /// replay produces; lanes beyond may read the extended progression
-    /// where the replay's vector would read 0, which is unobservable
-    /// because thickness changes decay compressed registers first. The
-    /// stored representation is kept compressed (`Uniform`, `Affine` or
-    /// `Segments`) whenever the register was compressed, decaying
-    /// per-lane only when it already held explicit lanes.
+    /// `max(thickness, base + count)`, and those a `Segments` value holds
+    /// past it, read exactly what the per-lane replay produces; lanes
+    /// beyond may read the extended progression where the replay's vector
+    /// would read 0, which is unobservable because a thickness change
+    /// pins affine registers first. The stored representation is kept
+    /// compressed (`Uniform`, `Affine` or `Segments`) whenever the
+    /// register was compressed, decaying per-lane only when it already
+    /// held explicit lanes.
     pub fn write_affine(
         &mut self,
         r: tcf_isa::reg::Reg,
@@ -881,7 +898,8 @@ impl ThickRegs {
                 // Whole-register overwrite: the common shape (every slice
                 // of an instruction writing one progression) stays
                 // allocation-free.
-                if base == 0 && end >= thickness {
+                let kept = thickness.max(reg.held());
+                if base == 0 && end >= kept {
                     *reg = ThickValue::affine(vbase, vstride);
                     return;
                 }
@@ -890,7 +908,7 @@ impl ThickRegs {
                 let pieces = |lo, hi| reg.pieces(lo, hi).into_iter().flatten();
                 let spliced = pieces(0, base)
                     .chain([Seg::new(count, vbase, vstride)])
-                    .chain(pieces(end, thickness.max(end)));
+                    .chain(pieces(end, kept.max(end)));
                 *reg = ThickValue::from_segs(spliced, thickness);
             }
         }
@@ -935,19 +953,14 @@ impl ThickRegs {
         }
     }
 
-    /// Decays every compressed affine register to explicit lanes at the
-    /// given thickness (see [`ThickValue::decay_compressed`]). Called
-    /// before a thickness change so the unbounded affine forms cannot
-    /// leak values past the old thickness. Returns how many registers
-    /// actually decayed (feeds the `setthick` decay-reason counter).
-    pub fn decay_compressed(&mut self, thickness: usize) -> u64 {
-        let mut n = 0u64;
+    /// Bounds every affine register at `len` lanes (see
+    /// [`ThickValue::pin`]). Called before a thickness change so the
+    /// unbounded affine forms cannot leak values past the old thickness:
+    /// O(registers), whatever the thickness.
+    pub(crate) fn pin(&mut self, len: usize) {
         for r in &mut self.regs {
-            if r.decay_compressed(thickness) {
-                n += 1;
-            }
+            r.pin(len);
         }
-        n
     }
 
     /// Number of registers currently needing per-thread storage (used by
@@ -957,14 +970,16 @@ impl ThickRegs {
     }
 
     /// Test support: rewrites every register into its fully materialized
-    /// per-thread form. Semantically the identity — every implicit thread
-    /// reads the same words as before — but it defeats the uniform
+    /// per-thread form — `thickness` lanes, or the lanes a value holds
+    /// past it. Semantically the identity — every implicit thread reads
+    /// the same words as before, and a non-uniform register reads the
+    /// same after a later regrow — but it defeats the uniform
     /// representation, forcing execution down the general thick path. The
     /// scalarization property test uses this to pin the uniform fast path
     /// against per-thread execution.
     pub fn materialize_all(&mut self, thickness: usize) {
         for v in &mut self.regs {
-            *v = ThickValue::PerThread(v.materialize(thickness.max(1)));
+            *v = ThickValue::PerThread(v.materialize(thickness.max(1).max(v.held())));
         }
     }
 }
@@ -1482,56 +1497,51 @@ mod tests {
     }
 
     #[test]
-    fn decay_compressed_freezes_the_old_thickness_view() {
+    fn pin_bounds_an_affine_value_at_the_old_thickness() {
         let mut v = ThickValue::affine(0, 2);
-        v.decay_compressed(3);
-        assert_eq!(v, ThickValue::PerThread(vec![0, 2, 4]));
-        // After decay, lanes past the old thickness read 0 — the same
+        v.pin(3);
+        assert_eq!(v, ThickValue::Segments(vec![Seg::new(3, 0, 2)]));
+        assert_eq!(v.materialize(3), vec![0, 2, 4]);
+        // After the pin, lanes past the old thickness read 0 — the same
         // view a per-thread register has across a thickness increase.
         assert_eq!(v.get(5), 0);
         // Uniform and PerThread are untouched.
         let mut u = ThickValue::Uniform(9);
-        u.decay_compressed(4);
+        u.pin(4);
         assert_eq!(u, ThickValue::Uniform(9));
+        let mut p = ThickValue::PerThread(vec![1, 2]);
+        p.pin(1);
+        assert_eq!(p, ThickValue::PerThread(vec![1, 2]));
     }
 
     #[test]
-    fn decay_compressed_at_the_thickness_edges() {
-        // Thickness 0 clamps to one materialized lane: a flow with no
-        // implicit threads still holds well-formed per-thread state.
+    fn pin_at_the_thickness_edges() {
+        // Thickness 0 clamps to one lane: a flow with no implicit threads
+        // still holds a well-formed bounded value.
         let mut v = ThickValue::affine(5, 3);
-        v.decay_compressed(0);
-        assert_eq!(v, ThickValue::PerThread(vec![5]));
+        v.pin(0);
+        assert_eq!(v, ThickValue::Segments(vec![Seg::new(1, 5, 0)]));
 
-        // Thickness 1 freezes exactly the first lane; later lanes read 0
+        // Thickness 1 keeps exactly the first lane; later lanes read 0
         // like any short per-thread vector.
         let mut v = ThickValue::affine(5, 3);
-        v.decay_compressed(1);
-        assert_eq!(v, ThickValue::PerThread(vec![5]));
-        assert_eq!(v.get(4), 0);
+        v.pin(1);
+        assert_eq!(v.materialize(5), vec![5, 0, 0, 0, 0]);
 
-        let mut s = ThickValue::Segments(vec![
-            Seg {
-                len: 2,
-                base: 7,
-                stride: 1,
-            },
-            Seg {
-                len: 2,
-                base: 100,
-                stride: 0,
-            },
-        ]);
-        s.decay_compressed(1);
-        assert_eq!(s, ThickValue::PerThread(vec![7]));
+        // A bounded value is never cut shorter: its lanes past a smaller
+        // thickness are what an earlier, thicker pin kept.
+        let segs = ThickValue::Segments(vec![Seg::new(2, 7, 1), Seg::new(2, 100, 0)]);
+        let mut s = segs.clone();
+        s.pin(1);
+        assert_eq!(s, segs);
     }
 
     #[test]
-    fn regs_decay_compressed_pins_the_materialized_view() {
-        // Every compressed register decays to exactly its materialized
-        // lanes at the decay thickness; uniform and per-thread registers
-        // are untouched (unlike `materialize_all`, which forces
-        // everything per-thread).
+    fn regs_pin_keeps_the_materialized_view() {
+        // Every register reads exactly its materialized lanes after the
+        // pin; the affine one becomes a bounded run, the rest keep their
+        // form (unlike `materialize_all`, which forces everything
+        // per-thread).
         let thickness = 4;
         let mut regs = ThickRegs::new(5);
         regs.write_affine(r(1), 0, thickness, 10, 2, thickness); // affine
@@ -1539,25 +1549,21 @@ mod tests {
         regs.write_uniform(r(3), 6);
         regs.write_value(
             r(4),
-            ThickValue::Segments(vec![
-                Seg {
-                    len: 2,
-                    base: 1,
-                    stride: 1,
-                },
-                Seg {
-                    len: 2,
-                    base: 50,
-                    stride: -3,
-                },
-            ]),
+            ThickValue::Segments(vec![Seg::new(2, 1, 1), Seg::new(2, 50, -3)]),
         );
         let mut reference = regs.clone();
         reference.materialize_all(thickness);
 
-        regs.decay_compressed(thickness);
+        regs.pin(thickness);
         for reg in [r(1), r(2), r(3), r(4)] {
-            for lane in 0..thickness {
+            // Past the thickness only the uniform register reads its word
+            // where a materialized vector reads 0.
+            let lanes = if reg == r(3) {
+                thickness
+            } else {
+                thickness + 2
+            };
+            for lane in 0..lanes {
                 assert_eq!(
                     regs.read(reg, lane),
                     reference.read(reg, lane),
@@ -1565,15 +1571,41 @@ mod tests {
                 );
             }
         }
-        // The formerly compressed registers read 0 past the decay
-        // thickness, exactly like the materialized vectors.
-        for reg in [r(1), r(4)] {
-            for lane in thickness..thickness + 2 {
-                assert_eq!(regs.read(reg, lane), 0, "reg {reg:?} lane {lane}");
-            }
-        }
-        // Affine and segment registers decayed; uniform stayed uniform.
+        // Uniform stayed uniform.
         assert_eq!(regs.per_thread_count(), 3);
+    }
+
+    #[test]
+    fn pinned_lanes_survive_writes_at_a_smaller_thickness() {
+        // Thickness 8 shrinks to 2: the per-lane view keeps lanes 2..8 of
+        // a register through every kind of write at thickness 2, and
+        // reads them again when the flow regrows.
+        let (old, t) = (8, 2);
+        let write: [&dyn Fn(&mut ThickRegs); 4] = [
+            &|regs| regs.write_affine(r(1), 0, t, 100, 1, t),
+            &|regs| regs.write_affine(r(1), 1, 1, 100, 0, t),
+            &|regs| {
+                regs.write_lanes(r(1), 0, &[100, -100], t);
+            },
+            &|regs| regs.write(r(1), 1, -100, t),
+        ];
+        for (k, write) in write.iter().enumerate() {
+            let mut regs = ThickRegs::new(2);
+            regs.write_affine(r(1), 0, old, 0, 3, old);
+            let mut lanes = regs.clone();
+            lanes.materialize_all(old);
+            regs.pin(old);
+            write(&mut regs);
+            write(&mut lanes);
+            for lane in 0..old + 2 {
+                assert_eq!(
+                    regs.read(r(1), lane),
+                    lanes.read(r(1), lane),
+                    "write {k} lane {lane}"
+                );
+            }
+            assert_eq!(regs.read(r(1), old - 1), 21, "write {k}");
+        }
     }
 
     #[test]
@@ -1643,7 +1675,7 @@ mod tests {
                         lanes.write(r(1), base + k, vb.wrapping_add(vs * k as Word), t);
                     }
                     // Lanes beyond max(thickness, end) are unobservable
-                    // (thickness growth decays compressed registers), so
+                    // (thickness growth pins affine registers first), so
                     // equivalence is checked below that line.
                     let top = t.max(base + count);
                     for i in 0..top {

@@ -332,8 +332,7 @@ proptest! {
 
 #[test]
 fn thickness_preserving_setthick_keeps_lane_state() {
-    // SetThick to the *same* thickness still decays compressed registers
-    // (the old-thickness pin), which must be observably the identity:
+    // SetThick to the *same* thickness must be observably the identity:
     // per-lane data written before the no-op change reads back unchanged
     // after it.
     let k = 5usize;

@@ -34,6 +34,7 @@ use tcf_isa::op::AluOp;
 use tcf_isa::program::Program;
 use tcf_isa::reg::{r, Reg, SpecialReg};
 use tcf_isa::word::Word;
+use tcf_isa::ProgramBuilder;
 use tcf_machine::MachineConfig;
 
 const MEM_WINDOW: usize = 4096;
@@ -696,5 +697,128 @@ fn rejoin_writebacks_recoalesce_runs() {
             "single-lane rejoin grew the run list in round {round}: {:?}",
             regs.value(reg)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Thickness changes against the materialized-lane reference
+// ---------------------------------------------------------------------------
+
+const RESIZE_MAX: usize = 64;
+const RESIZE_IN: usize = 512;
+const RESIZE_OUT: usize = 1024;
+
+/// A straight-line program of random grows, shrinks and regrows between
+/// thick computations, on the shapes whose lanes 0 and 1 always differ —
+/// lane ids plus a constant, their bijections (`add`/`sub`/`xor` of a
+/// constant, `mul` by an odd one), loads of distinct words, a `sel`
+/// taking the ids below a cut of at least 2 — so no value register is ever a non-zero uniform,
+/// which a materialized register legitimately reads differently past a
+/// regrow (see the top of this file). Every thickness is at least 4; `r1`
+/// is the lane id again after each change, `r7` a mask used at once, and
+/// each store writes its own window of memory.
+fn resize_program(seed: u64) -> Program {
+    let mut state = seed;
+    let mut next = move |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        ((z ^ (z >> 29)) % n as u64) as usize
+    };
+    let (tid, mask) = (r(1), r(7));
+    let mut b = ProgramBuilder::new();
+    let mut t = 4 + next(RESIZE_MAX - 3);
+    b.setthick(t as Word);
+    b.mfs(tid, SpecialReg::Tid);
+    for k in 2..7 {
+        b.alu(AluOp::Add, r(k), tid, next(3) as Word);
+    }
+    let mut window = 0;
+    let mut store = |b: &mut ProgramBuilder, rs: Reg| {
+        b.st(rs, tid, (RESIZE_OUT + window * RESIZE_MAX) as Word);
+        window += 1;
+    };
+    for _ in 0..16 {
+        let (rd, rs) = (r(2 + next(5) as u8), r(2 + next(5) as u8));
+        match next(7) {
+            0 | 1 => {
+                t = 4 + next(RESIZE_MAX - 3);
+                b.setthick(t as Word);
+                b.mfs(tid, SpecialReg::Tid);
+            }
+            2 => {
+                let (op, k) = [
+                    (AluOp::Add, 1),
+                    (AluOp::Sub, 1),
+                    (AluOp::Xor, 1),
+                    (AluOp::Mul, 2),
+                ][next(4)];
+                b.alu(op, rd, rs, (k * next(50) + 1) as Word);
+            }
+            3 => {
+                b.ld(rd, tid, (RESIZE_IN + next(8)) as Word);
+            }
+            4 => {
+                b.alu(AluOp::Slt, mask, tid, (2 + next(t - 2)) as Word);
+                b.sel(rd, mask, tid, rs);
+            }
+            // Often the progression a pinned register already holds: the
+            // spliced run then reaches past the thickness.
+            5 => {
+                b.alu(AluOp::Add, rd, tid, next(3) as Word);
+            }
+            _ => store(&mut b, rs),
+        }
+    }
+    for k in 1..7 {
+        store(&mut b, r(k));
+    }
+    b.halt();
+    b.build().expect("resize program assembles")
+}
+
+/// `setthick` pins affine registers in closed form instead of decaying
+/// them. Whatever the order of grows, shrinks and regrows, registers and
+/// memory must end where a machine whose registers are force-materialized
+/// before every step ends, on every variant that has `setthick` — the
+/// lanes a shrink leaves behind are read again after a regrow, through
+/// every kind of write at the smaller thickness.
+#[test]
+fn thickness_changes_match_materialized_lanes() {
+    let variants = [
+        Variant::SingleInstruction,
+        Variant::Balanced { bound: 3 },
+        Variant::Balanced { bound: 16 },
+    ];
+    for seed in 0..48 {
+        let program = resize_program(seed);
+        for variant in variants {
+            let run = |materialize: bool| {
+                let mut m = TcfMachine::new(MachineConfig::small(), variant, program.clone());
+                for a in 0..RESIZE_MAX + 8 {
+                    m.poke(RESIZE_IN + a, 1000 + 7 * a as Word).unwrap();
+                }
+                loop {
+                    if materialize {
+                        m.materialize_all_registers();
+                    }
+                    if !m.step().expect("resize program runs") {
+                        break;
+                    }
+                }
+                let f = m.flow(0).expect("root flow");
+                let mut words = m.peek_range(RESIZE_OUT, 24 * RESIZE_MAX).unwrap();
+                for k in 1..7 {
+                    words.extend((0..f.thickness).map(|lane| f.regs.read(r(k), lane)));
+                }
+                words
+            };
+            let (compressed, materialized) = (run(false), run(true));
+            if let Some(i) = (0..compressed.len()).find(|&i| compressed[i] != materialized[i]) {
+                panic!(
+                    "seed {seed}, {variant:?}: word {i} reads {} compressed, {} materialized\nprogram:\n{program}",
+                    compressed[i], materialized[i]
+                );
+            }
+        }
     }
 }

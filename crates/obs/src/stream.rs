@@ -48,7 +48,7 @@ use crate::sink::ObsSink;
 use crate::trace::{Trace, TraceEvent, UnitKind};
 
 /// Schema identifier of the NDJSON stream, following the
-/// `tcf-bench-hotpath/v1` / `tcf-metrics/v1` convention.
+/// `tcf-metrics/v1` convention.
 pub const STREAM_SCHEMA: &str = "tcf-obs-stream/v2";
 
 /// How many machine steps a streaming pump should let pass between

@@ -917,7 +917,7 @@ fn decay_taxonomy_sums_to_total() {
     // per-lane on a compressed register (`lane_write`, or
     // `balanced_resume` when a bound makes the write partial); the load
     // through it is one reference per lane, replying into the affine r3;
-    // the later `setthick` then decays the still-affine r4 (`setthick`).
+    // the later `setthick` pins the still-affine r4 and decays nothing.
     let program = thick_program(BIG + 4000, |b| {
         b.alu(AluOp::And, r(1), r(1), 1);
         b.mfs(r(3), SpecialReg::Tid);
