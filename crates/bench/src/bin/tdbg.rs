@@ -83,6 +83,10 @@ fn main() -> ExitCode {
     };
 
     let machine = TcfMachine::new(config, variant, program);
+    if let Some(e) = machine.load_error() {
+        eprintln!("cannot load program data: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut dbg = Debugger::new(machine);
 
     if let Some(script_path) = script {

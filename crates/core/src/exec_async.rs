@@ -31,13 +31,15 @@
 //! materializes a compressed register counts the `decay_async_slice`
 //! taxonomy reason, as does a block shattering into unit flows on a
 //! nested `spawn`.
+//!
+//! [`ThickRegs::slice_lanes`]: crate::thick::ThickRegs::slice_lanes
 
-use tcf_isa::instr::{BrCond, Operand};
+use tcf_isa::instr::{BrCond, Instr, Operand, Target};
+use tcf_isa::program::Program;
 use tcf_isa::reg::{Reg, SpecialReg};
 use tcf_machine::{IssueUnit, UnitSeq};
 use tcf_obs::FlowEvent;
 
-use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::TcfMachine;
@@ -86,14 +88,18 @@ impl TcfMachine {
     /// out of the machine for the duration (and put back even on a
     /// faulting quantum) so the scheduling loop can borrow them
     /// independently of `self`.
-    pub(crate) fn step_async(&mut self) -> Result<(), TcfError> {
+    pub(crate) fn step_async(&mut self, program: &Program) -> Result<(), TcfError> {
         let mut bufs = std::mem::take(&mut self.async_bufs);
-        let r = self.step_async_inner(&mut bufs);
+        let r = self.step_async_inner(&mut bufs, program);
         self.async_bufs = bufs;
         r
     }
 
-    fn step_async_inner(&mut self, bufs: &mut AsyncBufs) -> Result<(), TcfError> {
+    fn step_async_inner(
+        &mut self,
+        bufs: &mut AsyncBufs,
+        program: &Program,
+    ) -> Result<(), TcfError> {
         let ngroups = self.config.groups;
         let quantum = self.config.threads_per_group;
         bufs.units.resize_with(ngroups, Vec::new);
@@ -139,6 +145,7 @@ impl TcfMachine {
                     let lanes = self.exec_async_instr(
                         id,
                         g,
+                        program,
                         &mut bufs.units,
                         &mut bufs.still,
                         &mut bufs.scratch,
@@ -206,13 +213,14 @@ impl TcfMachine {
         &mut self,
         id: u32,
         g: usize,
+        program: &Program,
         units: &mut [Vec<UnitSeq>],
         follow: &mut Vec<u32>,
         scratch: &mut AsyncScratch,
     ) -> Result<usize, TcfError> {
         let mut flow = self.flows.take(id);
         scratch.pending.clear();
-        let result = self.async_instr_inner(&mut flow, g, units, scratch);
+        let result = self.async_instr_inner(&mut flow, g, program, units, scratch);
         let running = flow.is_running();
         self.flows.put(flow);
         let lanes = result?;
@@ -233,11 +241,12 @@ impl TcfMachine {
         &mut self,
         flow: &mut TakenFlow,
         g: usize,
+        program: &Program,
         units: &mut [Vec<UnitSeq>],
         scratch: &mut AsyncScratch,
     ) -> Result<usize, TcfError> {
         let pc = flow.pc;
-        if flow.thickness > 1 && matches!(self.decoded.fetch(pc), Some(DecodedInst::Spawn { .. })) {
+        if flow.thickness > 1 && matches!(program.fetch(pc), Some(Instr::Spawn { .. })) {
             // A block cannot execute `spawn` collectively (every lane
             // waits on its own children): shatter it into unit flows
             // first. Lane 0 spawns now; the rest re-join the rotation.
@@ -249,7 +258,7 @@ impl TcfMachine {
             self.thick_decay.async_slice += 1;
         }
         // One fetch serves a whole block — the shared-pc compression.
-        let instr = self.fetch(flow)?;
+        let instr = self.fetch(program, flow)?;
         let n = flow.thickness;
         if n > 1 {
             self.engine_counters.slices += 1;
@@ -267,12 +276,12 @@ impl TcfMachine {
             IssueUnit::compute(flow.id, 0).into()
         });
 
-        match instr {
-            DecodedInst::Spawn { count, target } => {
+        match *instr {
+            Instr::Spawn { count, ref target } => {
                 self.async_spawn(flow, count, target)?;
                 unit = Some(IssueUnit::overhead(flow.id).into());
             }
-            DecodedInst::SJoin => {
+            Instr::SJoin => {
                 // A whole block joins at once: one bulk notification
                 // covers all `n` threads.
                 let parent = flow
@@ -294,9 +303,11 @@ impl TcfMachine {
                 );
                 self.notify_join_many(parent, n)?;
             }
-            DecodedInst::Br { cond, rs, target }
-                if flow.regs.value(rs).uniform_over(n).is_none() =>
-            {
+            Instr::Br {
+                cond,
+                rs,
+                ref target,
+            } if flow.regs.value(rs).uniform_over(n).is_none() => {
                 next_pc = self.split_divergent(flow, g, cond, rs, target, scratch)?;
             }
             _ if instr.is_data() && n == 1 => {
@@ -315,12 +326,12 @@ impl TcfMachine {
             _ => match self.control(flow, instr)? {
                 Some(Control::Goto(t)) => {
                     next_pc = t;
-                    if n > 1 && matches!(instr, DecodedInst::Br { .. }) {
+                    if n > 1 && matches!(instr, Instr::Br { .. }) {
                         self.engine_counters.compressed_slices += 1;
                     }
                 }
                 Some(Control::Halt) => {}
-                None => return Err(self.unsupported(flow.id, pc, self.variant.name())),
+                None => return Err(self.unsupported(flow.id, instr, self.variant.name())),
             },
         }
 
@@ -337,7 +348,7 @@ impl TcfMachine {
         &mut self,
         flow: &mut TakenFlow,
         count: Operand,
-        target: usize,
+        target: &Target,
     ) -> Result<(), TcfError> {
         let n = match count {
             Operand::Reg(r) => flow.regs.read(r, 0),
@@ -405,7 +416,7 @@ impl TcfMachine {
         g: usize,
         cond: BrCond,
         rs: Reg,
-        target: usize,
+        target: &Target,
         scratch: &mut AsyncScratch,
     ) -> Result<usize, TcfError> {
         let (pc, n) = (flow.pc, flow.thickness);
@@ -449,18 +460,22 @@ impl TcfMachine {
         &mut self,
         flow: &mut Flow,
         g: usize,
-        instr: DecodedInst,
+        instr: &Instr,
         units: &mut Vec<UnitSeq>,
     ) -> Result<(), TcfError> {
         let n = flow.thickness;
         // Every spawned XMT thread is unit-thick, however wide the block
         // carrying it.
-        let instr = match instr {
-            DecodedInst::Mfs {
+        let unit_thickness;
+        let instr = match *instr {
+            Instr::Mfs {
                 rd,
                 sr: SpecialReg::Thickness,
-            } => DecodedInst::Ldi { rd, imm: 1 },
-            other => other,
+            } => {
+                unit_thickness = Instr::Ldi { rd, imm: 1 };
+                &unit_thickness
+            }
+            _ => instr,
         };
         // The pooled output stays in its slot (a `FragOut` is a few hundred
         // bytes of buffer headers); only the pool's own header moves.

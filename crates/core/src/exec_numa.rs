@@ -10,10 +10,11 @@
 //!
 //! [`GroupPipeline::run_step`]: tcf_machine::GroupPipeline::run_step
 
+use tcf_isa::instr::Instr;
+use tcf_isa::program::Program;
 use tcf_machine::{IssueUnit, UnitKind, UnitSeq};
 use tcf_obs::{FlowEvent, Mode};
 
-use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{ExecMode, Flow, FlowStatus, TakenFlow};
 use crate::machine::TcfMachine;
@@ -25,10 +26,11 @@ impl TcfMachine {
     pub(crate) fn run_numa_slice(
         &mut self,
         id: u32,
+        program: &Program,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(), TcfError> {
         let mut flow = self.flows.take(id);
-        let result = self.numa_slice_inner(&mut flow, units);
+        let result = self.numa_slice_inner(&mut flow, program, units);
         self.flows.put(flow);
         result
     }
@@ -36,6 +38,7 @@ impl TcfMachine {
     fn numa_slice_inner(
         &mut self,
         flow: &mut TakenFlow,
+        program: &Program,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(), TcfError> {
         let slots = match flow.mode {
@@ -62,7 +65,7 @@ impl TcfMachine {
 
         for slot in 0..slots {
             let pc = flow.pc;
-            let instr = self.fetch(flow)?;
+            let instr = self.fetch(program, flow)?;
             let mut next_pc = pc + 1;
             let mut unit = IssueUnit::compute(flow.id, 0);
 
@@ -75,7 +78,7 @@ impl TcfMachine {
                 };
                 unit = flowwise(instr, flow, &self.config, &mut port)
                     .map_err(|f| self.flow_err(flow.id, f))?;
-            } else if let DecodedInst::EndNuma = instr {
+            } else if let Instr::EndNuma = instr {
                 flow.pc = pc + 1;
                 self.exit_numa(flow, slots);
                 self.obs.emit(
@@ -98,7 +101,7 @@ impl TcfMachine {
                         units[home].push(unit.into());
                         return Ok(());
                     }
-                    None => return Err(self.unsupported(flow.id, pc, "NUMA mode")),
+                    None => return Err(self.unsupported(flow.id, instr, "NUMA mode")),
                 }
             }
 

@@ -10,14 +10,14 @@
 //! operands) — or *thick* — one operation per implicit thread, executed
 //! over the flow's fragments and bounded per step under Balanced.
 
-use tcf_isa::instr::Operand;
+use tcf_isa::instr::{Instr, Operand};
+use tcf_isa::program::Program;
 use tcf_isa::reg::{Reg, SpecialReg};
 use tcf_isa::word::Word;
 use tcf_machine::{IssueUnit, UnitSeq};
 use tcf_mem::BulkView;
 use tcf_obs::{FlowEvent, Mode};
 
-use crate::decoded::DecodedInst;
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{ExecMode, Flow, FlowStatus, Fragment, TakenFlow};
 use crate::machine::{TcfMachine, MAX_THICKNESS};
@@ -47,14 +47,14 @@ impl TcfMachine {
     /// buffers are taken out of the machine for the duration of the step
     /// (and put back even on a faulting step) so the phase structure can
     /// borrow them independently of `self`.
-    pub(crate) fn step_sync(&mut self) -> Result<(), TcfError> {
+    pub(crate) fn step_sync(&mut self, program: &Program) -> Result<(), TcfError> {
         let mut bufs = std::mem::take(&mut self.step_bufs);
-        let r = self.step_sync_inner(&mut bufs);
+        let r = self.step_sync_inner(&mut bufs, program);
         self.step_bufs = bufs;
         r
     }
 
-    fn step_sync_inner(&mut self, bufs: &mut StepBufs) -> Result<(), TcfError> {
+    fn step_sync_inner(&mut self, bufs: &mut StepBufs, program: &Program) -> Result<(), TcfError> {
         let ngroups = self.config.groups;
         bufs.pram_units.resize_with(ngroups, Vec::new);
         bufs.numa_units.resize_with(ngroups, Vec::new);
@@ -108,7 +108,7 @@ impl TcfMachine {
                 ExecMode::Pram if flow.thickness > 0 => {
                     self.activate_in_buffers(&flow, pram_units);
                     slots_used[flow.home_group()] += 1;
-                    result = self.exec_pram_inner(&mut flow, pram_units, mem);
+                    result = self.exec_pram_inner(&mut flow, program, pram_units, mem);
                 }
                 _ => {}
             }
@@ -173,7 +173,7 @@ impl TcfMachine {
         // Phase 4: NUMA slices.
         for &id in numa_flows.iter() {
             if self.flows[&id].is_running() {
-                self.run_numa_slice(id, numa_units)?;
+                self.run_numa_slice(id, program, numa_units)?;
             }
         }
 
@@ -190,28 +190,25 @@ impl TcfMachine {
     }
 
     /// Whether `instr` needs one operation per implicit thread.
-    fn is_thick(&self, flow: &Flow, instr: DecodedInst) -> bool {
+    fn is_thick(&self, flow: &Flow, instr: &Instr) -> bool {
         if flow.thickness <= 1 {
             // One implicit thread: flow-wise and thick coincide; treat as
             // flow-wise so unit flows cost one operation.
-            return matches!(
-                instr,
-                DecodedInst::MultiOp { .. } | DecodedInst::MultiPrefix { .. }
-            );
+            return matches!(instr, Instr::MultiOp { .. } | Instr::MultiPrefix { .. });
         }
         let u = |r: Reg| flow.regs.value(r).is_uniform();
-        match instr {
-            DecodedInst::Alu { ra, rb, .. } => !u(ra) || !self.operand_uniform(flow, rb),
-            DecodedInst::Ldi { .. } => false,
-            DecodedInst::Mfs { sr, .. } => matches!(sr, SpecialReg::Tid | SpecialReg::Gid),
-            DecodedInst::Sel { cond, rt, rf, .. } => {
+        match *instr {
+            Instr::Alu { ra, rb, .. } => !u(ra) || !self.operand_uniform(flow, rb),
+            Instr::Ldi { .. } => false,
+            Instr::Mfs { sr, .. } => matches!(sr, SpecialReg::Tid | SpecialReg::Gid),
+            Instr::Sel { cond, rt, rf, .. } => {
                 !u(cond) || !u(rt) || !self.operand_uniform(flow, rf)
             }
-            DecodedInst::Ld { base, .. } => !u(base),
-            DecodedInst::St { rs, base, .. } => !u(rs) || !u(base),
-            DecodedInst::StMasked { cond, rs, base, .. } => !u(cond) || !u(rs) || !u(base),
+            Instr::Ld { base, .. } => !u(base),
+            Instr::St { rs, base, .. } => !u(rs) || !u(base),
+            Instr::StMasked { cond, rs, base, .. } => !u(cond) || !u(rs) || !u(base),
             // Every implicit thread contributes, whatever the operands.
-            DecodedInst::MultiOp { .. } | DecodedInst::MultiPrefix { .. } => true,
+            Instr::MultiOp { .. } | Instr::MultiPrefix { .. } => true,
             _ => false,
         }
     }
@@ -231,11 +228,12 @@ impl TcfMachine {
     fn exec_pram_inner(
         &mut self,
         flow: &mut TakenFlow,
+        program: &Program,
         units: &mut [Vec<UnitSeq>],
         sink: &mut StepSink,
     ) -> Result<(), TcfError> {
         let pc = flow.pc;
-        let instr = self.fetch(flow)?;
+        let instr = self.fetch(program, flow)?;
 
         if self.is_thick(flow, instr) {
             // Rank-contiguous slicing: the flow has ONE next-operation
@@ -287,7 +285,7 @@ impl TcfMachine {
     fn exec_flowwise(
         &mut self,
         flow: &mut TakenFlow,
-        instr: DecodedInst,
+        instr: &Instr,
         units: &mut [Vec<UnitSeq>],
         sink: &mut StepSink,
     ) -> Result<(), TcfError> {
@@ -323,7 +321,7 @@ impl TcfMachine {
     fn exec_flow_control(
         &mut self,
         flow: &mut TakenFlow,
-        instr: DecodedInst,
+        instr: &Instr,
         units: &mut [Vec<UnitSeq>],
     ) -> Result<(usize, IssueUnit), TcfError> {
         let home = flow.home_group();
@@ -331,10 +329,10 @@ impl TcfMachine {
         let mut next_pc = pc + 1;
         let mut unit = IssueUnit::compute(flow.id, 0);
 
-        match instr {
-            DecodedInst::SetThick { src } => {
+        match *instr {
+            Instr::SetThick { src } => {
                 if !self.variant.supports_setthick() {
-                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
+                    return Err(self.unsupported(flow.id, instr, self.variant.name()));
                 }
                 let v = self.uniform_value(flow, src, "setthick")?;
                 if v < 0 || v as usize > MAX_THICKNESS {
@@ -364,9 +362,9 @@ impl TcfMachine {
                 flow.reset_progress();
                 unit = IssueUnit::overhead(flow.id);
             }
-            DecodedInst::Numa { slots } => {
+            Instr::Numa { slots } => {
                 if !self.variant.supports_numa() {
-                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
+                    return Err(self.unsupported(flow.id, instr, self.variant.name()));
                 }
                 let v = self.uniform_value(flow, slots, "numa bunch length")?;
                 if v < 1 || v as usize > MAX_THICKNESS {
@@ -387,21 +385,18 @@ impl TcfMachine {
                     },
                 );
             }
-            DecodedInst::EndNuma => return Err(self.flow_err(flow.id, TcfFault::NotInNuma)),
-            DecodedInst::Split { arms } => {
+            Instr::EndNuma => return Err(self.flow_err(flow.id, TcfFault::NotInNuma)),
+            Instr::Split { ref arms } => {
                 if !self.variant.supports_split() {
-                    return Err(self.unsupported(flow.id, pc, self.variant.name()));
+                    return Err(self.unsupported(flow.id, instr, self.variant.name()));
                 }
                 let mut pending = 0;
-                for ai in arms.indices() {
-                    // Arms are `Copy` entries of the decoded side table;
-                    // fetching one by index keeps `self` unborrowed.
-                    let arm = self.decoded.arm(ai);
+                for arm in arms {
                     let t = self.uniform_value(flow, arm.thickness, "split arm thickness")?;
                     if t < 1 || t as usize > MAX_THICKNESS {
                         return Err(self.flow_err(flow.id, TcfFault::BadThickness { requested: t }));
                     }
-                    let target = self.abs(flow.id, arm.target)?;
+                    let target = self.abs(flow.id, &arm.target)?;
                     let child_id = self.alloc_id();
                     let mut child = Flow::new(child_id, t as usize, target, flow.regs.len());
                     child.regs = flow.regs.clone();
@@ -448,7 +443,7 @@ impl TcfMachine {
                     );
                 }
             }
-            DecodedInst::Join => {
+            Instr::Join => {
                 let parent = flow
                     .parent
                     .ok_or_else(|| self.flow_err(flow.id, TcfFault::StrayJoin))?;
@@ -471,7 +466,7 @@ impl TcfMachine {
             _ => match self.control(flow, instr)? {
                 Some(Control::Goto(target)) => next_pc = target,
                 Some(Control::Halt) => {}
-                None => return Err(self.unsupported(flow.id, pc, self.variant.name())),
+                None => return Err(self.unsupported(flow.id, instr, self.variant.name())),
             },
         }
         Ok((next_pc, unit))

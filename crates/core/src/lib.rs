@@ -44,7 +44,6 @@
 //! [`TcfBuffer`]: tcf_machine::TcfBuffer
 
 pub mod counters;
-mod decoded;
 pub mod error;
 pub mod exec_async;
 pub mod exec_numa;

@@ -34,12 +34,11 @@ use tcf_machine::{
     summary_metrics, FlowDesc, GroupPipeline, MachineConfig, MachineStats, RunSummary, TcfBuffer,
     Trace, UnitSeq,
 };
-use tcf_mem::{BulkReplies, LocalMemory, SharedMemory, StepScratch, StepStats};
+use tcf_mem::{BulkReplies, LocalMemory, MemError, SharedMemory, StepScratch, StepStats};
 use tcf_net::{NetStats, Network};
 use tcf_obs::{FlowEvent, MetricsRegistry, ObsSink};
 
 use crate::counters::{EngineCounters, ThickDecayCounters};
-use crate::decoded::DecodedProgram;
 use crate::error::{TcfError, TcfFault};
 use crate::exec_async::AsyncBufs;
 use crate::exec_sync::StepBufs;
@@ -66,10 +65,9 @@ pub struct TcfMachine {
     pub(crate) variant: Variant,
     pub(crate) allocation: Allocation,
     pub(crate) program: Arc<Program>,
-    /// `program` pre-decoded to flat `Copy` instructions — the hot fetch
-    /// path (see [`crate::decoded`]); `program` stays the source of truth
-    /// for listings and fault messages.
-    pub(crate) decoded: Arc<DecodedProgram>,
+    /// Why the program's static data did not fit shared memory; every
+    /// step returns it.
+    pub(crate) load_error: Option<MemError>,
     pub(crate) shared: SharedMemory,
     pub(crate) locals: Vec<LocalMemory>,
     pub(crate) net: Network,
@@ -118,6 +116,13 @@ impl TcfMachine {
     /// the baseline machine); `FixedThickness` starts one flow of the
     /// fixed width on group 0; the TCF variants start a single flow of
     /// thickness 1 — programs grow it with `setthick`.
+    ///
+    /// Static data outside the configured shared memory is not an error
+    /// here: the machine keeps the [`MemError`] ([`load_error`]) and every
+    /// [`step`] returns it as [`TcfFault::Mem`].
+    ///
+    /// [`load_error`]: TcfMachine::load_error
+    /// [`step`]: TcfMachine::step
     pub fn new(config: MachineConfig, variant: Variant, program: Program) -> TcfMachine {
         let allocation = match variant {
             Variant::SingleInstruction | Variant::Balanced { .. } => Allocation::Horizontal,
@@ -141,9 +146,7 @@ impl TcfMachine {
             config.module_map,
             config.crcw,
         );
-        shared
-            .load_data(&program.data)
-            .expect("program data outside configured shared memory");
+        let load_error = shared.load_data(&program.data).err();
         let pipes = (0..config.groups)
             .map(|g| {
                 GroupPipeline::with_ilp(
@@ -161,12 +164,11 @@ impl TcfMachine {
             .map(|_| TcfBuffer::new(config.tcf_buffer_slots, config.tcf_load_cost))
             .collect();
         let net = Network::new(config.topology, config.hop_latency);
-        let decoded = Arc::new(DecodedProgram::decode(&program));
         let mut m = TcfMachine {
             variant,
             allocation,
             program: Arc::new(program),
-            decoded,
+            load_error,
             shared,
             locals,
             net,
@@ -318,6 +320,12 @@ impl TcfMachine {
     /// The loaded program.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
+    }
+
+    /// Why the program's static data could not be placed in shared
+    /// memory, if it could not; the machine then refuses to step.
+    pub fn load_error(&self) -> Option<&MemError> {
+        self.load_error.as_ref()
     }
 
     /// Shared-memory host read.
@@ -569,15 +577,21 @@ impl TcfMachine {
 
     /// Executes one machine step. Returns `false` when no flow had work.
     pub fn step(&mut self) -> Result<bool, TcfError> {
+        if let Some(e) = &self.load_error {
+            return Err(self.host_err(TcfFault::Mem(e.clone())));
+        }
         if !self.has_workable_flow() {
             if self.flows.waiting() > 0 {
                 return Err(self.host_err(TcfFault::Deadlock));
             }
             return Ok(false);
         }
+        // The step's one reference count on the program: the engines fetch
+        // `&Instr` out of this handle, which borrows nothing of `self`.
+        let program = Arc::clone(&self.program);
         let stepped = match self.variant {
-            Variant::MultiInstruction => self.step_async(),
-            _ => self.step_sync(),
+            Variant::MultiInstruction => self.step_async(&program),
+            _ => self.step_sync(&program),
         };
         self.flows.settle();
         stepped?;
@@ -748,6 +762,16 @@ mod tests {
         let p = assemble("main:\n halt\n").unwrap();
         let mut m = TcfMachine::new(small(), Variant::SingleOperation, p);
         assert!(m.spawn_task(0, 1).is_err());
+    }
+
+    #[test]
+    fn data_outside_shared_memory_faults_the_first_step() {
+        let p = assemble(".data 100000000: 1 2\nmain:\n halt\n").unwrap();
+        let mut m = TcfMachine::new(small(), Variant::SingleInstruction, p);
+        assert!(m.load_error().is_some());
+        let e = m.run(10).unwrap_err();
+        assert!(matches!(e.fault, TcfFault::Mem(_)), "{e}");
+        assert_eq!(m.steps_executed(), 0);
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! ([`crate::thick_exec`]) are shortcuts for many lanes of [`lane`] at
 //! once and are pinned against it by the differential suites.
 
-use tcf_isa::instr::{MemSpace, MultiKind, Operand};
+use tcf_isa::instr::{Instr, MemSpace, MultiKind, Operand, Target};
+use tcf_isa::program::Program;
 use tcf_isa::reg::Reg;
 use tcf_isa::word::{to_addr, Addr, Word};
 use tcf_machine::{IssueUnit, MachineConfig};
 use tcf_mem::{LocalMemory, MemError, MemOp, MemRef, RefOrigin, SharedMemory};
 use tcf_obs::FlowEvent;
 
-use crate::decoded::{DecodedInst, DecodedProgram};
 use crate::error::{TcfError, TcfFault};
 use crate::flow::{Flow, FlowStatus, TakenFlow};
 use crate::machine::{special_value, TcfMachine};
@@ -276,7 +276,7 @@ impl MemPort for DirectPort<'_> {
 /// through memory per instruction, measured 1.6x slower on a NUMA stream.
 #[inline(always)]
 pub(crate) fn lane<P: MemPort>(
-    inst: DecodedInst,
+    inst: &Instr,
     flow: &Flow,
     e: usize,
     config: &MachineConfig,
@@ -294,15 +294,15 @@ pub(crate) fn lane<P: MemPort>(
         MemSpace::Local => IssueUnit::local_mem(fid, e),
     };
     let compute = IssueUnit::compute(fid, e);
-    Ok(match inst {
-        DecodedInst::Alu { op, rd, ra, rb } => (compute, Some((rd, op.eval(read(ra), opnd(rb))))),
-        DecodedInst::Ldi { rd, imm } => (compute, Some((rd, imm))),
-        DecodedInst::Mfs { rd, sr } => (compute, Some((rd, special_value(flow, e, sr, config)))),
-        DecodedInst::Sel { rd, cond, rt, rf } => {
+    Ok(match *inst {
+        Instr::Alu { op, rd, ra, rb } => (compute, Some((rd, op.eval(read(ra), opnd(rb))))),
+        Instr::Ldi { rd, imm } => (compute, Some((rd, imm))),
+        Instr::Mfs { rd, sr } => (compute, Some((rd, special_value(flow, e, sr, config)))),
+        Instr::Sel { rd, cond, rt, rf } => {
             let v = if read(cond) != 0 { read(rt) } else { opnd(rf) };
             (compute, Some((rd, v)))
         }
-        DecodedInst::Ld {
+        Instr::Ld {
             rd,
             base,
             off,
@@ -312,20 +312,20 @@ pub(crate) fn lane<P: MemPort>(
             let unit = mem_unit(port, space, addr);
             (unit, port.load(space, addr, rd, e)?.map(|v| (rd, v)))
         }
-        DecodedInst::St {
+        Instr::St {
             rs,
             base,
             off,
             space,
         }
-        | DecodedInst::StMasked {
+        | Instr::StMasked {
             rs,
             base,
             off,
             space,
             ..
         } => {
-            if matches!(inst, DecodedInst::StMasked { cond, .. } if read(cond) == 0) {
+            if matches!(*inst, Instr::StMasked { cond, .. } if read(cond) == 0) {
                 // A masked-out lane still occupies its issue slot
                 // (vector-style masked execution).
                 (compute, None)
@@ -335,30 +335,30 @@ pub(crate) fn lane<P: MemPort>(
                 (mem_unit(port, space, addr), None)
             }
         }
-        DecodedInst::MultiOp {
+        Instr::MultiOp {
             kind,
             base,
             off,
             rs,
         }
-        | DecodedInst::MultiPrefix {
+        | Instr::MultiPrefix {
             kind,
             base,
             off,
             rs,
             ..
         } => {
-            let rd = match inst {
-                DecodedInst::MultiPrefix { rd, .. } => Some(rd),
+            let rd = match *inst {
+                Instr::MultiPrefix { rd, .. } => Some(rd),
                 _ => None,
             };
             let addr = addr_of(base, off);
             let old = port.multi(kind, addr, read(rs), rd, e)?;
             (mem_unit(port, MemSpace::Shared, addr), rd.zip(old))
         }
-        other => {
+        _ => {
             return Err(TcfFault::Internal {
-                what: format!("`{}` has no per-lane meaning", other.name()),
+                what: format!("`{inst}` has no per-lane meaning"),
             })
         }
     })
@@ -369,7 +369,7 @@ pub(crate) fn lane<P: MemPort>(
 /// uniform. Returns the issue unit the operation occupies.
 #[inline(always)]
 pub(crate) fn flowwise<P: MemPort>(
-    inst: DecodedInst,
+    inst: &Instr,
     flow: &mut Flow,
     config: &MachineConfig,
     port: &mut P,
@@ -391,11 +391,17 @@ pub(crate) enum Control {
 
 impl TcfMachine {
     /// Fetches `flow`'s current instruction — once per flow, whatever its
-    /// thickness (Table 1's fetches-per-TCF advantage).
+    /// thickness (Table 1's fetches-per-TCF advantage). `program` is the
+    /// step's handle on [`TcfMachine::program`], so the borrowed
+    /// instruction leaves `self` free.
     #[inline]
-    pub(crate) fn fetch(&mut self, flow: &Flow) -> Result<DecodedInst, TcfError> {
+    pub(crate) fn fetch<'p>(
+        &mut self,
+        program: &'p Program,
+        flow: &Flow,
+    ) -> Result<&'p Instr, TcfError> {
         let pc = flow.pc;
-        let Some(instr) = self.decoded.fetch(pc) else {
+        let Some(instr) = program.fetch(pc) else {
             return Err(self.flow_err(flow.id, TcfFault::PcOutOfRange { pc }));
         };
         self.stats.fetches += 1;
@@ -412,12 +418,16 @@ impl TcfMachine {
     pub(crate) fn control(
         &mut self,
         flow: &mut TakenFlow,
-        instr: DecodedInst,
+        instr: &Instr,
     ) -> Result<Option<Control>, TcfError> {
         let pc = flow.pc;
-        Ok(Some(match instr {
-            DecodedInst::Jmp { target } => Control::Goto(self.abs(flow.id, target)?),
-            DecodedInst::Br { cond, rs, target } => {
+        Ok(Some(match *instr {
+            Instr::Jmp { ref target } => Control::Goto(self.abs(flow.id, target)?),
+            Instr::Br {
+                cond,
+                rs,
+                ref target,
+            } => {
                 // Tested in place: no clone of a per-thread vector, no
                 // representation write-back.
                 match flow.regs.value(rs).uniform_over(flow.thickness.max(1)) {
@@ -426,17 +436,17 @@ impl TcfMachine {
                     None => return Err(self.flow_err(flow.id, TcfFault::DivergentBranch { pc })),
                 }
             }
-            DecodedInst::Call { target } => {
+            Instr::Call { ref target } => {
                 let dst = self.abs(flow.id, target)?;
                 flow.call_stack.push(pc + 1);
                 Control::Goto(dst)
             }
-            DecodedInst::Ret => match flow.call_stack.pop() {
+            Instr::Ret => match flow.call_stack.pop() {
                 Some(ra) => Control::Goto(ra),
                 None => return Err(self.flow_err(flow.id, TcfFault::EmptyCallStack)),
             },
-            DecodedInst::Sync | DecodedInst::Nop => Control::Goto(pc + 1),
-            DecodedInst::Halt => {
+            Instr::Sync | Instr::Nop => Control::Goto(pc + 1),
+            Instr::Halt => {
                 flow.set_status(FlowStatus::Halted);
                 self.obs.emit(
                     self.steps,
@@ -449,30 +459,24 @@ impl TcfMachine {
         }))
     }
 
-    /// Checks a decoded control-transfer target for the unresolved-label
-    /// sentinel (see [`DecodedProgram::UNRESOLVED`]).
-    pub(crate) fn abs(&self, flow: u32, t: usize) -> Result<usize, TcfError> {
-        if t == DecodedProgram::UNRESOLVED {
-            Err(self.flow_err(
+    /// The instruction index of a control-transfer target. `Program::new`
+    /// resolves every label, so a `Target::Label` here comes from a
+    /// program built by hand around it, and faults.
+    pub(crate) fn abs(&self, flow: u32, t: &Target) -> Result<usize, TcfError> {
+        t.abs().ok_or_else(|| {
+            self.flow_err(
                 flow,
                 TcfFault::Internal {
                     what: "unresolved target".into(),
                 },
-            ))
-        } else {
-            Ok(t)
-        }
+            )
+        })
     }
 
     /// The fault for an instruction the executing variant (or mode) does
-    /// not have. Cold path: renders the *source* instruction at `pc` (the
-    /// decoded form has no display).
-    pub(crate) fn unsupported(&self, flow: u32, pc: usize, variant: &'static str) -> TcfError {
-        let instr = self
-            .program
-            .fetch(pc)
-            .map(|i| i.to_string())
-            .unwrap_or_default();
+    /// not have.
+    pub(crate) fn unsupported(&self, flow: u32, instr: &Instr, variant: &'static str) -> TcfError {
+        let instr = instr.to_string();
         self.flow_err(flow, TcfFault::UnsupportedByVariant { instr, variant })
     }
 }
@@ -518,7 +522,7 @@ mod tests {
             }
         }
 
-        fn step(&mut self, inst: DecodedInst, flowwise: bool) -> Result<LaneOut, TcfFault> {
+        fn step(&mut self, inst: &Instr, flowwise: bool) -> Result<LaneOut, TcfFault> {
             let mut port = StepPort {
                 shared: &self.shared,
                 local: &mut self.local,
@@ -531,7 +535,7 @@ mod tests {
             lane(inst, &self.flow, 0, &self.config, &mut port)
         }
 
-        fn direct(&mut self, inst: DecodedInst) -> Result<LaneOut, TcfFault> {
+        fn direct(&mut self, inst: &Instr) -> Result<LaneOut, TcfFault> {
             let mut port = DirectPort {
                 shared: &mut self.shared,
                 local: &mut self.local,
@@ -551,15 +555,15 @@ mod tests {
         let mut rig = Rig::new();
         for &op in AluOp::ALL.iter() {
             for (rb, b) in [(Operand::Reg(r(2)), -4), (Operand::Imm(9), 9)] {
-                let inst = DecodedInst::Alu {
+                let inst = Instr::Alu {
                     op,
                     rd: r(5),
                     ra: r(1),
                     rb,
                 };
                 let want = (IssueUnit::compute(FID, 0), Some((r(5), op.eval(6, b))));
-                assert_eq!(rig.step(inst, true).unwrap(), want, "{op:?} step port");
-                assert_eq!(rig.direct(inst).unwrap(), want, "{op:?} direct port");
+                assert_eq!(rig.step(&inst, true).unwrap(), want, "{op:?} step port");
+                assert_eq!(rig.direct(&inst).unwrap(), want, "{op:?} direct port");
             }
         }
         assert!(rig.sink.refs.is_empty());
@@ -569,14 +573,14 @@ mod tests {
     fn register_only_instructions_read_their_lane() {
         let mut rig = Rig::new();
         let compute = IssueUnit::compute(FID, 0);
-        let ldi = DecodedInst::Ldi { rd: r(5), imm: -77 };
-        assert_eq!(rig.direct(ldi).unwrap(), (compute, Some((r(5), -77))));
-        let mfs = DecodedInst::Mfs {
+        let ldi = Instr::Ldi { rd: r(5), imm: -77 };
+        assert_eq!(rig.direct(&ldi).unwrap(), (compute, Some((r(5), -77))));
+        let mfs = Instr::Mfs {
             rd: r(5),
             sr: tcf_isa::reg::SpecialReg::Fid,
         };
         assert_eq!(
-            rig.step(mfs, false).unwrap(),
+            rig.step(&mfs, false).unwrap(),
             (compute, Some((r(5), FID as Word)))
         );
         // r1 != 0 selects rt; r4 == 0 selects rf, register or immediate.
@@ -585,27 +589,27 @@ mod tests {
             (r(4), Operand::Imm(8), 8),
             (r(4), Operand::Reg(r(3)), 40),
         ] {
-            let sel = DecodedInst::Sel {
+            let sel = Instr::Sel {
                 rd: r(5),
                 cond,
                 rt: r(2),
                 rf,
             };
-            assert_eq!(rig.direct(sel).unwrap(), (compute, Some((r(5), want))));
-            assert_eq!(rig.step(sel, true).unwrap(), (compute, Some((r(5), want))));
+            assert_eq!(rig.direct(&sel).unwrap(), (compute, Some((r(5), want))));
+            assert_eq!(rig.step(&sel, true).unwrap(), (compute, Some((r(5), want))));
         }
     }
 
     #[test]
     fn loads_and_stores_on_both_ports_and_spaces() {
         let mut rig = Rig::new();
-        let st = |space| DecodedInst::St {
+        let st = |space| Instr::St {
             rs: r(1),
             base: r(3),
             off: 2,
             space,
         };
-        let ld = |space| DecodedInst::Ld {
+        let ld = |space| Instr::Ld {
             rd: r(5),
             base: r(3),
             off: 2,
@@ -615,17 +619,20 @@ mod tests {
 
         // Direct: applied at once, in order.
         assert_eq!(
-            rig.direct(st(MemSpace::Shared)).unwrap(),
+            rig.direct(&st(MemSpace::Shared)).unwrap(),
             (shared_unit(&rig, 42), None)
         );
         assert_eq!(rig.shared.peek(42).unwrap(), 6);
         assert_eq!(
-            rig.direct(ld(MemSpace::Shared)).unwrap(),
+            rig.direct(&ld(MemSpace::Shared)).unwrap(),
             (shared_unit(&rig, 42), Some((r(5), 6)))
         );
-        assert_eq!(rig.direct(st(MemSpace::Local)).unwrap(), (local_unit, None));
         assert_eq!(
-            rig.direct(ld(MemSpace::Local)).unwrap(),
+            rig.direct(&st(MemSpace::Local)).unwrap(),
+            (local_unit, None)
+        );
+        assert_eq!(
+            rig.direct(&ld(MemSpace::Local)).unwrap(),
             (local_unit, Some((r(5), 6)))
         );
 
@@ -633,29 +640,29 @@ mod tests {
         // flow-wise), shared traffic is queued with its write-back.
         rig.local.write(42, 1).unwrap();
         assert_eq!(
-            rig.step(st(MemSpace::Local), false).unwrap(),
+            rig.step(&st(MemSpace::Local), false).unwrap(),
             (local_unit, None)
         );
         assert_eq!(rig.sink.local_undo, [(42, 1)]);
         assert_eq!(
-            rig.step(st(MemSpace::Local), true).unwrap(),
+            rig.step(&st(MemSpace::Local), true).unwrap(),
             (local_unit, None)
         );
         assert_eq!(rig.sink.local_undo.len(), 1);
         assert_eq!(
-            rig.step(ld(MemSpace::Local), false).unwrap(),
+            rig.step(&ld(MemSpace::Local), false).unwrap(),
             (local_unit, Some((r(5), 6)))
         );
         assert_eq!(
-            rig.step(st(MemSpace::Shared), false).unwrap(),
+            rig.step(&st(MemSpace::Shared), false).unwrap(),
             (shared_unit(&rig, 42), None)
         );
         assert_eq!(
-            rig.step(ld(MemSpace::Shared), false).unwrap(),
+            rig.step(&ld(MemSpace::Shared), false).unwrap(),
             (shared_unit(&rig, 42), None)
         );
         assert_eq!(
-            rig.step(ld(MemSpace::Shared), true).unwrap(),
+            rig.step(&ld(MemSpace::Shared), true).unwrap(),
             (shared_unit(&rig, 42), None)
         );
         let origin = RefOrigin::new(GROUP, rig.flow.rank_base);
@@ -681,7 +688,7 @@ mod tests {
     #[test]
     fn masked_store_selected_and_masked_out() {
         let mut rig = Rig::new();
-        let stm = |cond, space| DecodedInst::StMasked {
+        let stm = |cond, space| Instr::StMasked {
             cond,
             rs: r(1),
             base: r(3),
@@ -691,18 +698,18 @@ mod tests {
         let compute = IssueUnit::compute(FID, 0);
         for space in [MemSpace::Shared, MemSpace::Local] {
             // r4 == 0: the lane keeps its issue slot and touches nothing.
-            assert_eq!(rig.direct(stm(r(4), space)).unwrap(), (compute, None));
-            assert_eq!(rig.step(stm(r(4), space), false).unwrap(), (compute, None));
+            assert_eq!(rig.direct(&stm(r(4), space)).unwrap(), (compute, None));
+            assert_eq!(rig.step(&stm(r(4), space), false).unwrap(), (compute, None));
         }
         assert_eq!(rig.shared.peek(40).unwrap(), 0);
         assert_eq!(rig.local.read(40).unwrap(), 0);
         assert!(rig.sink.refs.is_empty() && rig.sink.local_undo.is_empty());
         // r2 != 0: an ordinary store.
-        rig.direct(stm(r(2), MemSpace::Shared)).unwrap();
-        rig.direct(stm(r(2), MemSpace::Local)).unwrap();
+        rig.direct(&stm(r(2), MemSpace::Shared)).unwrap();
+        rig.direct(&stm(r(2), MemSpace::Local)).unwrap();
         assert_eq!(rig.shared.peek(40).unwrap(), 6);
         assert_eq!(rig.local.read(40).unwrap(), 6);
-        rig.step(stm(r(2), MemSpace::Shared), false).unwrap();
+        rig.step(&stm(r(2), MemSpace::Shared), false).unwrap();
         assert_eq!(rig.sink.refs[0].op, MemOp::Write(40, 6));
     }
 
@@ -711,13 +718,13 @@ mod tests {
         for &kind in MultiKind::ALL.iter() {
             let mut rig = Rig::new();
             rig.shared.poke(40, 13).unwrap();
-            let multiop = DecodedInst::MultiOp {
+            let multiop = Instr::MultiOp {
                 kind,
                 base: r(3),
                 off: 0,
                 rs: r(2),
             };
-            let prefix = DecodedInst::MultiPrefix {
+            let prefix = Instr::MultiPrefix {
                 kind,
                 rd: r(5),
                 base: r(3),
@@ -726,15 +733,15 @@ mod tests {
             };
             let unit = shared_unit(&rig, 40);
             let once = kind.combine(13, -4);
-            assert_eq!(rig.direct(multiop).unwrap(), (unit, None), "{kind:?}");
+            assert_eq!(rig.direct(&multiop).unwrap(), (unit, None), "{kind:?}");
             assert_eq!(rig.shared.peek(40).unwrap(), once, "{kind:?}");
             // A multiprefix replies with the word before its contribution.
-            assert_eq!(rig.direct(prefix).unwrap(), (unit, Some((r(5), once))));
+            assert_eq!(rig.direct(&prefix).unwrap(), (unit, Some((r(5), once))));
             assert_eq!(rig.shared.peek(40).unwrap(), kind.combine(once, 6));
 
             // The step port only queues; tcf-mem combines in rank order.
-            assert_eq!(rig.step(multiop, false).unwrap(), (unit, None));
-            assert_eq!(rig.step(prefix, false).unwrap(), (unit, None));
+            assert_eq!(rig.step(&multiop, false).unwrap(), (unit, None));
+            assert_eq!(rig.step(&prefix, false).unwrap(), (unit, None));
             let ops: Vec<_> = rig.sink.refs.iter().map(|m| m.op).collect();
             assert_eq!(
                 ops,
@@ -750,38 +757,38 @@ mod tests {
         let mut rig = Rig::new();
         let past_shared = rig.config.shared_size as Word;
         let past_local = rig.config.local_size as Word;
-        let ld = |off, space| DecodedInst::Ld {
+        let ld = |off, space| Instr::Ld {
             rd: r(5),
             base: r(0),
             off,
             space,
         };
-        let st = |off, space| DecodedInst::St {
+        let st = |off, space| Instr::St {
             rs: r(1),
             base: r(0),
             off,
             space,
         };
         let is_mem = |res: Result<LaneOut, TcfFault>| matches!(res, Err(TcfFault::Mem(_)));
-        assert!(is_mem(rig.direct(ld(past_shared, MemSpace::Shared))));
-        assert!(is_mem(rig.direct(st(past_shared, MemSpace::Shared))));
-        assert!(is_mem(rig.direct(ld(past_local, MemSpace::Local))));
-        assert!(is_mem(rig.step(ld(past_local, MemSpace::Local), false)));
-        assert!(is_mem(rig.step(st(past_local, MemSpace::Local), false)));
+        assert!(is_mem(rig.direct(&ld(past_shared, MemSpace::Shared))));
+        assert!(is_mem(rig.direct(&st(past_shared, MemSpace::Shared))));
+        assert!(is_mem(rig.direct(&ld(past_local, MemSpace::Local))));
+        assert!(is_mem(rig.step(&ld(past_local, MemSpace::Local), false)));
+        assert!(is_mem(rig.step(&st(past_local, MemSpace::Local), false)));
         assert!(rig.sink.local_undo.is_empty());
-        let multi = DecodedInst::MultiOp {
+        let multi = Instr::MultiOp {
             kind: MultiKind::Add,
             base: r(0),
             off: past_shared,
             rs: r(1),
         };
-        assert!(is_mem(rig.direct(multi)));
+        assert!(is_mem(rig.direct(&multi)));
         // The step port defers shared references, and their faults, to
         // the memory step.
-        assert!(rig.step(ld(past_shared, MemSpace::Shared), false).is_ok());
+        assert!(rig.step(&ld(past_shared, MemSpace::Shared), false).is_ok());
         // Not a data instruction at all.
         assert!(matches!(
-            rig.direct(DecodedInst::Halt),
+            rig.direct(&Instr::Halt),
             Err(TcfFault::Internal { .. })
         ));
     }

@@ -20,7 +20,7 @@
 
 use std::ops::Range;
 
-use tcf_isa::instr::{MemSpace, MultiKind, Operand};
+use tcf_isa::instr::{Instr, MemSpace, MultiKind, Operand};
 use tcf_isa::op::AluOp;
 use tcf_isa::progression::{lockstep, AddrRun};
 use tcf_isa::reg::Reg;
@@ -29,7 +29,6 @@ use tcf_machine::{MachineConfig, UnitSeq};
 use tcf_mem::{LocalMemory, MemOp, MemRef, RefOrigin, SharedMemory, StepStats};
 use tcf_obs::{FlowEvent, ObsSink};
 
-use crate::decoded::DecodedInst;
 use crate::error::TcfError;
 use crate::flow::{Flow, Fragment};
 use crate::lanes::{self, LanePlanes};
@@ -47,7 +46,7 @@ use crate::thick::{affine_alu, LaneMask, MaskError, Seg, ThickRegs, MASK_RUN_BUD
 /// the slice's [`MemPort`].
 pub(crate) struct ThickCtx<'a> {
     pub flow: &'a Flow,
-    pub instr: DecodedInst,
+    pub instr: &'a Instr,
     pub group: usize,
     pub config: &'a MachineConfig,
     pub step: u64,
@@ -642,45 +641,45 @@ fn exec_thick_compressed(
         lo,
         len,
     };
-    let closed = match ctx.instr {
-        DecodedInst::Alu { op, rd, ra, rb } => cf.alu(scratch, op, rd, ra, rb),
-        DecodedInst::Ldi { rd, imm } => cf.whole(rd, (imm, 0)),
+    let closed = match *ctx.instr {
+        Instr::Alu { op, rd, ra, rb } => cf.alu(scratch, op, rd, ra, rb),
+        Instr::Ldi { rd, imm } => cf.whole(rd, (imm, 0)),
         // Every special register is the lane index times a flow constant
         // plus a flow constant.
-        DecodedInst::Mfs { rd, sr } => cf.whole(
+        Instr::Mfs { rd, sr } => cf.whole(
             rd,
             (
                 special_value(flow, lo, sr, ctx.config),
                 special_stride(flow, sr),
             ),
         ),
-        DecodedInst::Sel { rd, cond, rt, rf } => cf.sel(scratch, rd, cond, rt, rf),
-        DecodedInst::Ld {
+        Instr::Sel { rd, cond, rt, rf } => cf.sel(scratch, rd, cond, rt, rf),
+        Instr::Ld {
             rd,
             base,
             off,
             space: MemSpace::Shared,
         } => cf.ld(scratch, rd, base, off),
-        DecodedInst::St {
+        Instr::St {
             rs,
             base,
             off,
             space: MemSpace::Shared,
         } => cf.st(scratch, None, rs, base, off),
-        DecodedInst::StMasked {
+        Instr::StMasked {
             cond,
             rs,
             base,
             off,
             space: MemSpace::Shared,
         } => cf.st(scratch, Some(cond), rs, base, off),
-        DecodedInst::MultiOp {
+        Instr::MultiOp {
             kind,
             base,
             off,
             rs,
         } => cf.multi(scratch, kind, None, base, off, rs),
-        DecodedInst::MultiPrefix {
+        Instr::MultiPrefix {
             kind,
             rd,
             base,
@@ -817,8 +816,8 @@ fn exec_thick_vector(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut MaskSc
     if len == 0 {
         return false;
     }
-    let rd = match ctx.instr {
-        DecodedInst::Alu { op, rd, ra, rb } => {
+    let rd = match *ctx.instr {
+        Instr::Alu { op, rd, ra, rb } => {
             let a = lanes::prep(&mut out.planes.a, len);
             flow.regs.value(ra).fill_lanes(lo, a);
             let b = lanes::prep(&mut out.planes.b, len);
@@ -830,7 +829,7 @@ fn exec_thick_vector(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut MaskSc
             lanes::alu_lanes(op, a, b, &mut out.reg_values);
             rd
         }
-        DecodedInst::Sel { rd, cond, rt, rf } => {
+        Instr::Sel { rd, cond, rt, rf } => {
             let t = lanes::prep(&mut out.planes.b, len);
             flow.regs.value(rt).fill_lanes(lo, t);
             let f = lanes::prep(&mut out.planes.c, len);
@@ -969,7 +968,7 @@ impl TcfMachine {
     pub(crate) fn exec_slices(
         &mut self,
         flow: &Flow,
-        instr: DecodedInst,
+        instr: &Instr,
         slices: &[(Fragment, Range<usize>)],
         outs: &mut Vec<FragOut>,
     ) {
@@ -1005,8 +1004,7 @@ impl TcfMachine {
             // lane, each lane replayed by the coordinator afterwards — so
             // only the scalar loop of a memory instruction is worth a region.
             Engine::Parallel { workers }
-                if outs.len() > 1
-                    && !matches!(instr, DecodedInst::Alu { .. } | DecodedInst::Sel { .. }) =>
+                if outs.len() > 1 && !matches!(instr, Instr::Alu { .. } | Instr::Sel { .. }) =>
             {
                 run(outs, Rungs::Closed);
                 let pending = outs.iter().filter(|o| !o.compressed);

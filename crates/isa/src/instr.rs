@@ -444,6 +444,25 @@ impl Instr {
         )
     }
 
+    /// Whether this is one of the nine data instructions, the ones with a
+    /// per-thread meaning; the rest are control transfer and flow
+    /// management.
+    #[inline]
+    pub fn is_data(&self) -> bool {
+        matches!(
+            self,
+            Instr::Alu { .. }
+                | Instr::Ldi { .. }
+                | Instr::Mfs { .. }
+                | Instr::Sel { .. }
+                | Instr::Ld { .. }
+                | Instr::St { .. }
+                | Instr::StMasked { .. }
+                | Instr::MultiOp { .. }
+                | Instr::MultiPrefix { .. }
+        )
+    }
+
     /// Whether this instruction accesses memory (any space).
     pub fn is_memory(&self) -> bool {
         matches!(
@@ -624,6 +643,8 @@ mod tests {
         }
         .is_memory());
         assert!(!Instr::Ret.is_memory());
+        assert!(Instr::Ldi { rd: r(1), imm: 3 }.is_data());
+        assert!(!Instr::Join.is_data());
     }
 
     #[test]

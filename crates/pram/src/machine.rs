@@ -32,7 +32,9 @@ use tcf_isa::program::Program;
 use tcf_isa::reg::SpecialReg;
 use tcf_isa::word::{to_addr, Word};
 use tcf_machine::{GroupPipeline, IssueUnit, MachineConfig, MachineStats, RunSummary, Trace};
-use tcf_mem::{LocalMemory, MemOp, MemRef, RefOrigin, SharedMemory, StepScratch, StepStats};
+use tcf_mem::{
+    LocalMemory, MemError, MemOp, MemRef, RefOrigin, SharedMemory, StepScratch, StepStats,
+};
 use tcf_net::Network;
 
 use crate::bunch::Bunch;
@@ -52,6 +54,9 @@ struct GroupState {
 pub struct PramMachine {
     config: MachineConfig,
     program: Arc<Program>,
+    /// Why the program's static data did not fit shared memory; every
+    /// step returns it.
+    load_error: Option<MemError>,
     shared: SharedMemory,
     locals: Vec<LocalMemory>,
     groups: Vec<GroupState>,
@@ -76,7 +81,10 @@ struct Writeback {
 
 impl PramMachine {
     /// Builds a machine and loads `program` (including its static data).
-    /// All threads start at the program entry.
+    /// All threads start at the program entry. Static data outside the
+    /// configured shared memory does not stop construction: the machine
+    /// keeps the [`MemError`] and every [`step`](PramMachine::step)
+    /// returns it as [`Fault::Mem`].
     pub fn new(config: MachineConfig, program: Program) -> PramMachine {
         config.validate();
         let mut shared = SharedMemory::new(
@@ -85,9 +93,7 @@ impl PramMachine {
             config.module_map,
             config.crcw,
         );
-        shared
-            .load_data(&program.data)
-            .expect("program data outside configured shared memory");
+        let load_error = shared.load_data(&program.data).err();
         let groups = (0..config.groups)
             .map(|_| GroupState {
                 threads: (0..config.threads_per_group)
@@ -112,6 +118,7 @@ impl PramMachine {
         let net = Network::new(config.topology, config.hop_latency);
         PramMachine {
             program: Arc::new(program),
+            load_error,
             shared,
             locals,
             groups,
@@ -275,9 +282,14 @@ impl PramMachine {
     /// Executes one synchronous machine step. Returns `false` when no
     /// thread had work (the machine is finished).
     pub fn step(&mut self) -> Result<bool, ExecError> {
+        if let Some(e) = &self.load_error {
+            return Err(self.host_err(Fault::Mem(e.clone())));
+        }
         if !self.is_live() {
             return Ok(false);
         }
+        // One reference count per step; fetches borrow from it, not `self`.
+        let program = Arc::clone(&self.program);
         let ngroups = self.groups.len();
         let mut pram_units: Vec<Vec<IssueUnit>> = vec![Vec::new(); ngroups];
         let mut bunch_units: Vec<Vec<IssueUnit>> = vec![Vec::new(); ngroups];
@@ -296,7 +308,7 @@ impl PramMachine {
                             // Leaders execute their slice in phase 4.
                             continue;
                         }
-                        let unit = self.issue_thread(g, t, &mut refs, &mut writebacks)?;
+                        let unit = self.issue_thread(g, t, &program, &mut refs, &mut writebacks)?;
                         pram_units[g].push(unit);
                     }
                 }
@@ -321,7 +333,7 @@ impl PramMachine {
         for (g, units) in bunch_units.iter_mut().enumerate() {
             let bunches = self.groups[g].bunches.clone();
             for bunch in bunches {
-                self.run_bunch_slice(g, bunch, units)?;
+                self.run_bunch_slice(g, bunch, &program, units)?;
             }
         }
 
@@ -404,13 +416,13 @@ impl PramMachine {
         &mut self,
         g: usize,
         t: usize,
+        program: &Program,
         refs: &mut Vec<MemRef>,
         writebacks: &mut Vec<Writeback>,
     ) -> Result<IssueUnit, ExecError> {
         let pc = self.groups[g].threads[t].pc;
-        let instr = match self.program.fetch(pc) {
-            Some(i) => i.clone(),
-            None => return Err(self.err(g, t, Fault::PcOutOfRange { pc })),
+        let Some(instr) = program.fetch(pc) else {
+            return Err(self.err(g, t, Fault::PcOutOfRange { pc }));
         };
         self.stats.fetches += 1;
         let flow = (g * self.config.threads_per_group + t) as u32;
@@ -419,7 +431,7 @@ impl PramMachine {
         let mut next_pc = pc + 1;
         let mut unit = IssueUnit::compute(flow, t);
 
-        match instr {
+        match *instr {
             Instr::Alu { op, rd, ra, rb } => {
                 let a = self.groups[g].threads[t].read_reg(ra);
                 let b = self.operand(g, t, rb);
@@ -599,6 +611,7 @@ impl PramMachine {
         &mut self,
         g: usize,
         bunch: Bunch,
+        program: &Program,
         units: &mut Vec<IssueUnit>,
     ) -> Result<(), ExecError> {
         let leader = bunch.leader;
@@ -609,15 +622,14 @@ impl PramMachine {
 
         for _ in 0..bunch.len {
             let pc = self.groups[g].threads[leader].pc;
-            let instr = match self.program.fetch(pc) {
-                Some(i) => i.clone(),
-                None => return Err(self.err(g, leader, Fault::PcOutOfRange { pc })),
+            let Some(instr) = program.fetch(pc) else {
+                return Err(self.err(g, leader, Fault::PcOutOfRange { pc }));
             };
             self.stats.fetches += 1;
             let mut next_pc = pc + 1;
             let mut unit = IssueUnit::compute(flow, leader);
 
-            match instr {
+            match *instr {
                 Instr::Alu { op, rd, ra, rb } => {
                     let a = self.groups[g].threads[leader].read_reg(ra);
                     let b = self.operand(g, leader, rb);
@@ -677,7 +689,7 @@ impl PramMachine {
                     space,
                     ..
                 } => {
-                    let masked_out = matches!(instr, Instr::StMasked { cond, .. }
+                    let masked_out = matches!(*instr, Instr::StMasked { cond, .. }
                         if self.groups[g].threads[leader].read_reg(cond) == 0);
                     let st = &self.groups[g].threads[leader];
                     let addr = to_addr(st.read_reg(base).wrapping_add(off));
@@ -730,7 +742,7 @@ impl PramMachine {
                     self.shared
                         .poke(addr, kind.combine(old, v))
                         .map_err(|e| self.err(g, leader, e.into()))?;
-                    if let Instr::MultiPrefix { rd, .. } = instr {
+                    if let Instr::MultiPrefix { rd, .. } = *instr {
                         self.groups[g].threads[leader].write_reg(rd, old);
                     }
                 }
@@ -1015,6 +1027,14 @@ mod tests {
         let mut m = machine("main:\n endnuma\n halt\n");
         let e = m.run(10).unwrap_err();
         assert!(matches!(e.fault, Fault::NotInBunch));
+    }
+
+    #[test]
+    fn data_outside_shared_memory_faults_the_first_step() {
+        let mut m = machine(".data 100000000: 1 2\nmain:\n halt\n");
+        let e = m.run(10).unwrap_err();
+        assert!(matches!(e.fault, Fault::Mem(_)), "{e}");
+        assert_eq!(m.steps_executed(), 0);
     }
 
     #[test]
